@@ -34,6 +34,7 @@ from .io import (
 from .kernels import run_grad_checks
 from .metrics import (
     DIRECTIONS,
+    METRIC_FIELDS,
     EvalParams,
     detect_ce,
     distance_map,
@@ -206,13 +207,7 @@ def _cmd_metrics(args) -> int:
     )
     report = make_report([entry], prov)
     write_report(args.out, report)
-    for name in (
-        "psnr_style_vs_gen",
-        "ssim_content_vs_gen",
-        "ms_ssim_content_vs_gen",
-        "cw_ssim_content",
-        "cw_ssim_style",
-    ):
+    for name in METRIC_FIELDS:
         print(f"{name}: {getattr(entry, name)}")
     print(f"wrote {args.out}")
     return 0
@@ -227,10 +222,8 @@ def _cmd_gradcheck(args) -> int:
     }
     if args.out:
         _write_json(args.out, payload)
-    worst = 0.0
     for r in reports:
         print(f"{r.loss_id}: max_rel_error={r.max_rel_error:.3e} ok={r.ok}")
-        worst = max(worst, r.max_rel_error)
     if not all(r.ok for r in reports):
         raise ValueError("gradient check produced a non-finite result")
     return 0

@@ -16,18 +16,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .metrics import DIRECTIONS, MetricReport
+from .metrics import DIRECTIONS, METRIC_FIELDS, MetricReport
 from .tensor import TensorND
 
 F32_MAX = float(np.finfo(np.float32).max)
-
-METRIC_FIELDS = (
-    "psnr_style_vs_gen",
-    "ssim_content_vs_gen",
-    "ms_ssim_content_vs_gen",
-    "cw_ssim_content",
-    "cw_ssim_style",
-)
 
 
 class TensorFileError(Exception):

@@ -30,7 +30,7 @@ extractor as (spatial...) and are lifted to a single channel.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -46,6 +46,14 @@ def _check_feature_map(x: np.ndarray, name: str) -> np.ndarray:
     if x.ndim < 2:
         raise ValueError(f"{name} must be shaped (C, spatial...), got {x.shape}")
     return x
+
+
+def _same_shape(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
+    xa = as_f64(a, name_a)
+    xb = as_f64(b, name_b)
+    if xa.shape != xb.shape:
+        raise ValueError(f"shape mismatch: {xa.shape} vs {xb.shape}")
+    return xa, xb
 
 
 def _spatial_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -242,10 +250,6 @@ class KernelPredictorSet:
             self.bias_head.predict(code),
             groups=self.groups,
         )
-
-
-def adaconv_predict(style_code, predictors: KernelPredictorSet) -> AdaConvKernelSet:
-    return predictors.predict(style_code)
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +533,13 @@ def gram_matrix(features, normalize: bool = True) -> np.ndarray:
 
 def loss_l1(a, b) -> float:
     """Mean absolute difference."""
-    xa = as_f64(a, "a")
-    xb = as_f64(b, "b")
-    if xa.shape != xb.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {xb.shape}")
+    xa, xb = _same_shape(a, b, "a", "b")
     return float(np.abs(xa - xb).mean())
 
 
 def grad_loss_l1(a, b) -> np.ndarray:
     """d(mean |a - b|)/da; the subgradient at exact ties is taken as 0."""
-    xa = as_f64(a, "a")
-    xb = as_f64(b, "b")
-    if xa.shape != xb.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {xb.shape}")
+    xa, xb = _same_shape(a, b, "a", "b")
     return np.sign(xa - xb) / xa.size
 
 
@@ -558,17 +556,18 @@ def grad_loss_adv_mse(scores, target: float) -> np.ndarray:
     return 2.0 * (s - float(target)) / s.size
 
 
+def _feature_distance(fg: np.ndarray, fx: np.ndarray) -> float:
+    d = fg - fx
+    return float((d**2).sum() / d.size)
+
+
 def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
     """Size-normalized squared distance between extracted feature maps.
 
     (1/f) * ||P(g) - P(x)||^2 with f the feature element count.
     """
-    ga = as_f64(g, "g")
-    xa = as_f64(x, "x")
-    if ga.shape != xa.shape:
-        raise ValueError(f"shape mismatch: {ga.shape} vs {xa.shape}")
-    d = extractor.features(ga) - extractor.features(xa)
-    return float((d**2).sum() / d.size)
+    ga, xa = _same_shape(g, x, "g", "x")
+    return _feature_distance(extractor.features(ga), extractor.features(xa))
 
 
 def grad_loss_feature(g, x, extractor: FixedFeatureExtractor) -> np.ndarray:
@@ -579,16 +578,16 @@ def grad_loss_feature(g, x, extractor: FixedFeatureExtractor) -> np.ndarray:
     return vjp(2.0 * d / d.size)
 
 
+def _style_distance(fg: np.ndarray, gram_y: np.ndarray, normalize_gram: bool) -> float:
+    dg = gram_matrix(fg, normalize_gram) - gram_y
+    return float((dg**2).sum())
+
+
 def loss_style_frob(g, y, extractor: FixedFeatureExtractor, normalize_gram: bool = True) -> float:
     """Squared Frobenius distance between feature Gram matrices."""
-    ga = as_f64(g, "g")
-    ya = as_f64(y, "y")
-    if ga.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {ga.shape} vs {ya.shape}")
-    dg = gram_matrix(extractor.features(ga), normalize_gram) - gram_matrix(
-        extractor.features(ya), normalize_gram
-    )
-    return float((dg**2).sum())
+    ga, ya = _same_shape(g, y, "g", "y")
+    gram_y = gram_matrix(extractor.features(ya), normalize_gram)
+    return _style_distance(extractor.features(ga), gram_y, normalize_gram)
 
 
 def grad_loss_style_frob(
@@ -615,19 +614,13 @@ class LossBundle:
     style_frob: float
 
     def __post_init__(self):
-        for name in ("l1_image", "l1_latent", "adv_mse", "feature", "style_frob"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+                raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
 
     def to_dict(self) -> dict:
-        return {
-            "l1_image": self.l1_image,
-            "l1_latent": self.l1_latent,
-            "adv_mse": self.adv_mse,
-            "feature": self.feature,
-            "style_frob": self.style_frob,
-        }
+        return asdict(self)
 
 
 def compute_loss_bundle(
@@ -664,19 +657,15 @@ class GradCheckReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "loss_id": self.loss_id,
-            "max_rel_error": self.max_rel_error,
-            "n_coords": self.n_coords,
-            "h": self.h,
-            "seed": self.seed,
-            "ok": self.ok,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
-    """Return (value_fn over the first argument, analytic gradient)."""
+    """Return (value_fn over the first argument, analytic gradient).
+
+    The feature losses extract the fixed second argument's features (or
+    Gram matrix) once here; each probe only re-extracts the first.
+    """
     if loss_id == "l1":
         a, b = inputs
         return (lambda v: loss_l1(v, b)), grad_loss_l1(a, b)
@@ -685,11 +674,15 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
         return (lambda v: loss_adv_mse(v, target)), grad_loss_adv_mse(scores, target)
     if loss_id == "feature":
         g, x, extractor = inputs
-        return (lambda v: loss_feature(v, x, extractor)), grad_loss_feature(g, x, extractor)
+        fx = extractor.features(_same_shape(g, x, "g", "x")[1])
+        return (
+            lambda v: _feature_distance(extractor.features(v), fx)
+        ), grad_loss_feature(g, x, extractor)
     if loss_id == "style_frob":
         g, y, extractor = inputs
+        gram_y = gram_matrix(extractor.features(_same_shape(g, y, "g", "y")[1]))
         return (
-            lambda v: loss_style_frob(v, y, extractor)
+            lambda v: _style_distance(extractor.features(v), gram_y, normalize_gram=True)
         ), grad_loss_style_frob(g, y, extractor)
     raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
 

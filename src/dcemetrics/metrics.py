@@ -39,6 +39,15 @@ MS_SSIM_EXPONENTS = tuple(w / sum(_MS_BASE_EXPONENTS) for w in _MS_BASE_EXPONENT
 
 DIRECTIONS = ("nce_to_ce", "ce_to_nce")
 
+#: The five scores of a ``MetricReport``, in report and print order.
+METRIC_FIELDS = (
+    "psnr_style_vs_gen",
+    "ssim_content_vs_gen",
+    "ms_ssim_content_vs_gen",
+    "cw_ssim_content",
+    "cw_ssim_style",
+)
+
 
 class WeightingModeWarning(UserWarning):
     """Distance-map inversion flag disagrees with the requested mode."""
@@ -117,27 +126,17 @@ class MetricReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        psnr_infinite = math.isinf(self.psnr_style_vs_gen)
-        return {
-            "psnr_style_vs_gen": None if psnr_infinite else float(self.psnr_style_vs_gen),
-            "psnr_infinite": psnr_infinite,
-            "ssim_content_vs_gen": float(self.ssim_content_vs_gen),
-            "ms_ssim_content_vs_gen": float(self.ms_ssim_content_vs_gen),
-            "cw_ssim_content": float(self.cw_ssim_content),
-            "cw_ssim_style": float(self.cw_ssim_style),
-            "direction": self.direction,
-            "notes": list(self.notes),
-        }
+        d = {name: float(getattr(self, name)) for name in METRIC_FIELDS}
+        d["psnr_infinite"] = math.isinf(d["psnr_style_vs_gen"])
+        if d["psnr_infinite"]:
+            d["psnr_style_vs_gen"] = None
+        return {**d, "direction": self.direction, "notes": list(self.notes)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
-        psnr = math.inf if d.get("psnr_infinite") else float(d["psnr_style_vs_gen"])
+        scores = dict(d, psnr_style_vs_gen=math.inf) if d.get("psnr_infinite") else d
         return cls(
-            psnr_style_vs_gen=psnr,
-            ssim_content_vs_gen=float(d["ssim_content_vs_gen"]),
-            ms_ssim_content_vs_gen=float(d["ms_ssim_content_vs_gen"]),
-            cw_ssim_content=float(d["cw_ssim_content"]),
-            cw_ssim_style=float(d["cw_ssim_style"]),
+            **{name: float(scores[name]) for name in METRIC_FIELDS},
             direction=d.get("direction", "nce_to_ce"),
             notes=list(d.get("notes", [])),
         )
@@ -544,17 +543,12 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     if used < mp.scales:
         notes.append(f"ms_ssim used {used} of {mp.scales} scales")
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", WeightingModeWarning)
-        report = MetricReport(
-            psnr_style_vs_gen=psnr(sty, gen, peak),
-            ssim_content_vs_gen=ssim(con, gen, sp),
-            ms_ssim_content_vs_gen=ms_ssim(con, gen, mp),
-            cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),
-            cw_ssim_style=cw_ssim(gen, sty, dm_inv, sp, mode="style"),
-            direction=params.direction,
-            notes=notes,
-        )
-    for w in caught:
-        notes.append(str(w.message))
-    return report
+    return MetricReport(
+        psnr_style_vs_gen=psnr(sty, gen, peak),
+        ssim_content_vs_gen=ssim(con, gen, sp),
+        ms_ssim_content_vs_gen=ms_ssim(con, gen, mp),
+        cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),
+        cw_ssim_style=cw_ssim(gen, sty, dm_inv, sp, mode="style"),
+        direction=params.direction,
+        notes=notes,
+    )

@@ -187,6 +187,25 @@ def _add_noise(frame: np.ndarray, rng, sigma: float, rician: bool) -> np.ndarray
     return frame + rng.normal(0.0, sigma, size=frame.shape)
 
 
+def _layout(spec: PhantomSpec):
+    """Region masks and the (n_regions, n_frames) bolus curves g(t)."""
+    masks = [_region_mask(spec.grid, r) for r in spec.regions]
+    times = np.arange(spec.n_frames, dtype=np.float64)
+    bolus = np.stack(
+        [gamma_variate(times, r.onset, r.alpha, r.beta) for r in spec.regions]
+    ) if spec.regions else np.zeros((0, spec.n_frames))
+    return masks, bolus
+
+
+def _render_frame(spec, masks, curve_values, offset_rng, noise_rng) -> np.ndarray:
+    """Paint one frame, shift it by a motion offset, then add noise."""
+    frame = _noiseless_frame(spec, masks, curve_values)
+    if spec.motion > 0:
+        offset = offset_rng.uniform(-spec.motion, spec.motion, size=len(spec.grid))
+        frame = ndimage.shift(frame, offset, order=1, mode="nearest")
+    return _add_noise(frame, noise_rng, spec.noise_sigma, spec.rician)
+
+
 def generate(spec: PhantomSpec) -> PhantomOutput:
     """Render the full sequence along with the ground-truth mask and curves.
 
@@ -194,11 +213,7 @@ def generate(spec: PhantomSpec) -> PhantomOutput:
     from that frame's own spawned generator, so frames are independent and
     the whole output is reproducible bit for bit.
     """
-    masks = [_region_mask(spec.grid, r) for r in spec.regions]
-    times = np.arange(spec.n_frames, dtype=np.float64)
-    bolus = np.stack(
-        [gamma_variate(times, r.onset, r.alpha, r.beta) for r in spec.regions]
-    ) if spec.regions else np.zeros((0, spec.n_frames))
+    masks, bolus = _layout(spec)
     curves = np.stack(
         [r.baseline + r.amplitude * bolus[i] for i, r in enumerate(spec.regions)]
     ) if spec.regions else np.zeros((0, spec.n_frames))
@@ -207,11 +222,7 @@ def generate(spec: PhantomSpec) -> PhantomOutput:
     frames = np.empty((spec.n_frames, *spec.grid))
     for t in range(spec.n_frames):
         rng = np.random.default_rng(children[t])
-        frame = _noiseless_frame(spec, masks, bolus[:, t])
-        if spec.motion > 0:
-            offset = rng.uniform(-spec.motion, spec.motion, size=len(spec.grid))
-            frame = ndimage.shift(frame, offset, order=1, mode="nearest")
-        frames[t] = _add_noise(frame, rng, spec.noise_sigma, spec.rician)
+        frames[t] = _render_frame(spec, masks, bolus[:, t], rng, rng)
 
     truth = np.zeros(spec.grid, dtype=bool)
     for region, mask in zip(spec.regions, masks):
@@ -227,40 +238,31 @@ def generate(spec: PhantomSpec) -> PhantomOutput:
 def make_triple(spec: PhantomSpec, t_content: int, t_style: int):
     """Content frame, independently-noised style frame, and the ideal transfer.
 
-    The ideal transfer keeps the content frame's geometry (its motion
-    state) but carries the style frame's enhancement values, which is
-    exactly what a perfect style transfer would output; its noise draw is
-    independent of both.
+    The content frame is frame ``t_content`` of ``generate(spec)``.  The
+    ideal transfer keeps the content frame's geometry (its motion state)
+    but carries the style frame's enhancement values, which is exactly what
+    a perfect style transfer would output; its noise draw is independent
+    of both.
     """
     if not (0 <= t_content < spec.n_frames) or not (0 <= t_style < spec.n_frames):
         raise ValueError(
             f"frame indices must lie in [0, {spec.n_frames}), "
             f"got {t_content} and {t_style}"
         )
-    out = generate(spec)
-    masks = [_region_mask(spec.grid, r) for r in spec.regions]
-    times = np.arange(spec.n_frames, dtype=np.float64)
-    bolus = np.stack(
-        [gamma_variate(times, r.onset, r.alpha, r.beta) for r in spec.regions]
-    ) if spec.regions else np.zeros((0, spec.n_frames))
-
+    masks, bolus = _layout(spec)
+    # the first n_frames children equal the ones generate spawns; the two
+    # extra ones seed the style and ideal-transfer noise
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_frames + 2)
 
-    def offset_for(t: int):
-        if spec.motion <= 0:
-            return None
-        rng = np.random.default_rng(children[t])
-        return rng.uniform(-spec.motion, spec.motion, size=len(spec.grid))
+    def rng(i: int):
+        return np.random.default_rng(children[i])
 
-    def build(curve_t: int, geometry_t: int, noise_child) -> np.ndarray:
-        frame = _noiseless_frame(spec, masks, bolus[:, curve_t])
-        off = offset_for(geometry_t)
-        if off is not None:
-            frame = ndimage.shift(frame, off, order=1, mode="nearest")
-        rng = np.random.default_rng(noise_child)
-        return _add_noise(frame, rng, spec.noise_sigma, spec.rician)
-
-    content = out.sequence.frame(t_content)
-    style = build(t_style, t_style, children[spec.n_frames])
-    generated_ideal = build(t_style, t_content, children[spec.n_frames + 1])
+    # a frame's motion offset is always the first draw of that frame's own
+    # generator; the content frame then draws its noise from it as well
+    content_rng = rng(t_content)
+    content = _render_frame(spec, masks, bolus[:, t_content], content_rng, content_rng)
+    style = _render_frame(spec, masks, bolus[:, t_style], rng(t_style), rng(spec.n_frames))
+    generated_ideal = _render_frame(
+        spec, masks, bolus[:, t_style], rng(t_content), rng(spec.n_frames + 1)
+    )
     return content, style, generated_ideal

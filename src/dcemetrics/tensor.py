@@ -295,20 +295,3 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     cov_xy = window_correlate(xa * ya, w) - mu_x * mu_y
     return Moments(mu_x, mu_y, var_x, var_y, cov_xy)
 
-
-_REDUCERS = {"mean": np.mean, "sum": np.sum, "max": np.max, "min": np.min}
-
-
-def reduce(x, op: str, axes=None) -> np.ndarray:
-    """Reduce ``x`` with one of mean/sum/max/min over the given axes.
-
-    ``axes=None`` reduces everything; an empty axis tuple is the identity.
-    """
-    arr = as_f64(x, "reduce input")
-    if op not in _REDUCERS:
-        raise ValueError(f"unknown reduction {op!r}, expected one of {sorted(_REDUCERS)}")
-    if axes is not None:
-        axes = (axes,) if np.isscalar(axes) else tuple(int(a) for a in axes)
-        if len(axes) == 0:
-            return arr.copy()
-    return _REDUCERS[op](arr, axis=axes)

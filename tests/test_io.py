@@ -151,6 +151,26 @@ def _entry(seed, direction="nce_to_ce", psnr=None):
     )
 
 
+GOLDEN_REPORT_BYTES = (
+    b'{"aggregates":{"ce_to_nce":{"cw_ssim_content":{"mean":1.0,"n":1,"std":null},'
+    b'"cw_ssim_style":{"mean":1.0,"n":1,"std":null},'
+    b'"ms_ssim_content_vs_gen":{"mean":1.0,"n":1,"std":null},"n_entries":1,'
+    b'"psnr_style_vs_gen":{"mean":null,"n":0,"n_infinite":1,"std":null},'
+    b'"ssim_content_vs_gen":{"mean":1.0,"n":1,"std":null}},'
+    b'"nce_to_ce":{"cw_ssim_content":{"mean":0.75,"n":1,"std":null},'
+    b'"cw_ssim_style":{"mean":0.625,"n":1,"std":null},'
+    b'"ms_ssim_content_vs_gen":{"mean":0.8125,"n":1,"std":null},"n_entries":1,'
+    b'"psnr_style_vs_gen":{"mean":31.25,"n":1,"n_infinite":0,"std":null},'
+    b'"ssim_content_vs_gen":{"mean":0.875,"n":1,"std":null}}},'
+    b'"entries":[{"cw_ssim_content":0.75,"cw_ssim_style":0.625,"direction":"nce_to_ce",'
+    b'"ms_ssim_content_vs_gen":0.8125,"notes":["ms_ssim used 3 of 5 scales"],'
+    b'"psnr_infinite":false,"psnr_style_vs_gen":31.25,"ssim_content_vs_gen":0.875},'
+    b'{"cw_ssim_content":1.0,"cw_ssim_style":1.0,"direction":"ce_to_nce",'
+    b'"ms_ssim_content_vs_gen":1.0,"notes":[],"psnr_infinite":true,'
+    b'"psnr_style_vs_gen":null,"ssim_content_vs_gen":1.0}],"provenance":{}}'
+)
+
+
 class TestAggregation:
     def test_matches_spreadsheet_recomputation(self):
         entries = [_entry(i) for i in range(7)]
@@ -206,6 +226,17 @@ class TestReports:
         b["generated_at"] = "2001-01-01T00:00:00+00:00"
         assert a["generated_at"] != b["generated_at"]
         assert canonical_bytes(a) == canonical_bytes(b)
+
+    def test_canonical_bytes_golden(self):
+        # frozen bytes: pins MetricReport.to_dict/from_dict and the
+        # aggregates, including the infinite-PSNR encoding
+        finite = MetricReport(
+            31.25, 0.875, 0.8125, 0.75, 0.625, notes=["ms_ssim used 3 of 5 scales"]
+        )
+        infinite = MetricReport(math.inf, 1.0, 1.0, 1.0, 1.0, direction="ce_to_nce")
+        assert canonical_bytes(make_report([finite, infinite], {})) == GOLDEN_REPORT_BYTES
+        for e in (finite, infinite):
+            assert MetricReport.from_dict(e.to_dict()) == e
 
     def test_canonical_bytes_sensitive_to_content(self):
         a = make_report([_entry(0)], {})

@@ -13,7 +13,6 @@ from dcemetrics.kernels import (
     KernelPredictorSet,
     LossBundle,
     adaconv_apply,
-    adaconv_predict,
     adain,
     bidirectional_convlstm,
     compute_loss_bundle,
@@ -180,7 +179,7 @@ class TestKernelPrediction:
             (2, 8, 8),
         )
         p = KernelPredictorSet.from_seed(42, code_channels=2, channels=4)
-        ks = adaconv_predict(code, p)
+        ks = p.predict(code)
         golden = (
             float(ks.depthwise.sum()),
             float(ks.pointwise.sum()),
@@ -505,6 +504,26 @@ class TestGradCheck:
         npt.assert_allclose(g, np.sign(a - b) / 36.0, atol=0)
         s = rng.normal(size=12)
         npt.assert_allclose(grad_loss_adv_mse(s, 0.0), 2 * s / 12.0, atol=1e-15)
+
+    @pytest.mark.parametrize("loss_id", ["feature", "style_frob"])
+    def test_fixed_side_extracted_once(self, loss_id, monkeypatch):
+        calls = []
+        features = FixedFeatureExtractor.features
+
+        def counting(self, image):
+            calls.append(1)
+            return features(self, image)
+
+        monkeypatch.setattr(FixedFeatureExtractor, "features", counting)
+        rng = np.random.default_rng(38)
+        ex = FixedFeatureExtractor.from_seed(0)
+        g, fixed = rng.normal(size=(10, 10)), rng.normal(size=(10, 10))
+        report = grad_check(loss_id, (g, fixed, ex), seed=6, n_coords=16)
+        assert report.ok and report.n_coords == 16
+        # two probes per coordinate plus the fixed side, extracted once for
+        # the values and once for the gradient; re-extracting it per probe
+        # would double the count
+        assert len(calls) <= 2 * 16 + 2
 
     def test_unknown_loss_id(self):
         with pytest.raises(ValueError, match="loss_id"):

@@ -169,10 +169,12 @@ class TestGenerate:
 
 class TestMakeTriple:
     def test_degenerate_indices_collapse(self):
-        spec = _basic_spec()
-        content, style, generated = make_triple(spec, 2, 2)
-        npt.assert_array_equal(content, style)
-        npt.assert_array_equal(content, generated)
+        # with motion on, all three frames must draw the same offset
+        for motion in (0.0, 1.5):
+            spec = _basic_spec(motion=motion)
+            content, style, generated = make_triple(spec, 2, 2)
+            npt.assert_array_equal(content, style)
+            npt.assert_array_equal(content, generated)
 
     def test_noiseless_generated_equals_style_frame(self):
         spec = _basic_spec()
@@ -181,14 +183,17 @@ class TestMakeTriple:
         npt.assert_array_equal(generated, generate(spec).sequence.frame(4))
 
     def test_noisy_draws_are_independent(self):
-        spec = _basic_spec(noise_sigma=3.0)
-        content, style, generated = make_triple(spec, 0, 4)
-        seq = generate(spec).sequence
-        npt.assert_array_equal(content, seq.frame(0))
-        assert not np.array_equal(style, seq.frame(4))
-        assert not np.array_equal(generated, style)
-        # same underlying noiseless frame though
-        assert np.abs(style - generated).mean() < 6 * 3.0
+        # the content frame must take its offset and then its noise from
+        # the same generator as the sequence frame, also with Rician noise
+        for extra in ({}, {"motion": 1.5, "rician": True}):
+            spec = _basic_spec(noise_sigma=3.0, **extra)
+            content, style, generated = make_triple(spec, 0, 4)
+            seq = generate(spec).sequence
+            npt.assert_array_equal(content, seq.frame(0))
+            assert not np.array_equal(style, seq.frame(4))
+            assert not np.array_equal(generated, style)
+            # same enhancement values though
+            assert np.abs(style - generated).mean() < 6 * 3.0
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="indices"):

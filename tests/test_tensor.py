@@ -7,7 +7,6 @@ from dcemetrics.tensor import (
     TensorND,
     VolumeSequence,
     conv,
-    reduce,
     window_correlate,
     windowed_moments,
 )
@@ -213,35 +212,6 @@ class TestWindowedMoments:
         w = GaussianWindow.create((3, 3), 1.5)
         with pytest.raises(ValueError, match="mismatch"):
             windowed_moments(np.zeros((5, 5)), np.zeros((5, 6)), w)
-
-
-class TestReduce:
-    def test_mean(self):
-        assert reduce([1.0, 2.0, 3.0], "mean") == pytest.approx(2.0)
-
-    def test_sum_of_zeros(self):
-        assert reduce(np.zeros((3, 4)), "sum") == 0.0
-
-    def test_max_matches_linear_scan(self):
-        rng = np.random.default_rng(55)
-        x = rng.normal(size=(4, 5, 6))
-        best = -np.inf
-        for v in x.ravel():
-            if v > best:
-                best = v
-        assert reduce(x, "max") == best
-
-    def test_empty_axes_is_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        npt.assert_array_equal(reduce(x, "mean", axes=()), x)
-
-    def test_axis_reduction(self):
-        x = np.arange(6.0).reshape(2, 3)
-        npt.assert_allclose(reduce(x, "sum", axes=0), [3.0, 5.0, 7.0])
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown reduction"):
-            reduce([1.0], "median")
 
 
 class TestWindowCorrelate:
