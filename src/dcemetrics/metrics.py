@@ -14,9 +14,8 @@ Pipeline for one (generated, content, style) triple:
      [0.1, 1.0], optionally inverted;
   3. multiply both images by the weighting and score them with SSIM.
 
-Distances come from an exact Euclidean distance transform (separable
-lower-envelope construction, one axis at a time), so weightings are
-reproducible down to the last bit across runs and platforms.
+Distances come from scipy's exact Euclidean distance transform, so
+weightings are reproducible down to the last bit across runs.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import ndimage
 
 from .tensor import GaussianWindow, VolumeSequence, as_f64, windowed_moments
 
@@ -187,57 +187,16 @@ def detect_ce(
     return CEMask(mean_diff > threshold, float(threshold), int(baseline_index))
 
 
-def _lower_envelope_1d(f: np.ndarray, step: float) -> np.ndarray:
-    """One pass of the separable squared-distance transform along a row.
-
-    ``f`` holds squared distances so far; sample p sits at coordinate
-    p * step.  Returns min_q (step*(p-q))^2 + f[q] for every p, skipping
-    infinite entries (rows not yet reached by any site).
-    """
-    n = f.size
-    finite = np.flatnonzero(np.isfinite(f))
-    if finite.size == 0:
-        return f.copy()
-    v = np.empty(finite.size, dtype=np.intp)  # parabola apex indices
-    z = np.empty(finite.size + 1, dtype=np.float64)  # interval boundaries
-    k = 0
-    v[0] = finite[0]
-    z[0] = -np.inf
-    z[1] = np.inf
-    s2 = step * step
-    for q in finite[1:]:
-        fq = f[q] + s2 * q * q
-        while True:
-            p = v[k]
-            s = (fq - (f[p] + s2 * p * p)) / (2.0 * s2 * (q - p))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    out = np.empty_like(f)
-    k = 0
-    for p in range(n):
-        while z[k + 1] < p:
-            k += 1
-        q = v[k]
-        d = step * (p - q)
-        out[p] = d * d + f[q]
-    return out
-
-
 def distance_transform(mask, spacing=None) -> np.ndarray:
     """Exact Euclidean distance from every voxel to the nearest True voxel.
 
-    Separable lower-envelope construction applied one axis at a time on
-    squared distances.  On integer (voxel) grids the result is exact, bit
-    for bit, against an all-pairs scan.  All-False masks yield +inf
-    everywhere.
+    ``spacing`` gives the per-axis voxel size (default 1).  On integer
+    (voxel) grids the result matches an all-pairs scan bit for bit.
+    All-False masks yield +inf everywhere.
     """
     m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
+    if m.ndim == 0:
+        raise ValueError("mask must have at least one axis")
     if m.size == 0:
         raise ValueError("mask must be non-empty")
     if spacing is None:
@@ -245,14 +204,10 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != m.ndim:
         raise ValueError(f"spacing has {len(spacing)} entries for a rank-{m.ndim} mask")
-    f = np.where(m, 0.0, np.inf)
-    for axis in range(m.ndim):
-        moved = np.moveaxis(f, axis, -1)
-        flat = moved.reshape(-1, moved.shape[-1])
-        for i in range(flat.shape[0]):
-            flat[i] = _lower_envelope_1d(flat[i], spacing[axis])
-        f = np.moveaxis(flat.reshape(moved.shape), -1, axis)
-    return np.sqrt(f)
+    if not m.any():
+        # scipy measures to a point outside the array here; there is no site
+        return np.full(m.shape, np.inf)
+    return ndimage.distance_transform_edt(~m, sampling=spacing)
 
 
 def distance_map(mask, spacing=None, mode: str = "voxel") -> DistanceMap:
@@ -367,13 +322,10 @@ def ms_ssim_scale_count(shape, params: MSSSIMParams | None = None) -> int:
     inputs fall back to a single scale rather than failing.
     """
     params = params or MSSSIMParams()
-    win = []
-    for n in shape:
-        w = min(params.window_size, int(n))
-        win.append(w if w % 2 else w - 1)
+    win = GaussianWindow.for_shape(shape, params.window_size, params.sigma).sizes
     dims = list(shape)
     usable = 0
-    while usable < params.scales and all(d >= w >= 1 for d, w in zip(dims, win)):
+    while usable < params.scales and all(d >= w for d, w in zip(dims, win)):
         usable += 1
         dims = [d // 2 for d in dims]
     return usable

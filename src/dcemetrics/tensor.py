@@ -2,9 +2,10 @@
 
 Everything downstream (similarity metrics, adaptive kernels, phantom
 sequences) funnels through the small set of primitives in this module:
-grouped n-D cross-correlation, Gaussian-window moment maps and plain
-reductions.  All verification arithmetic is float64; 32-bit data read
-from files is widened on entry.
+grouped n-D cross-correlation and Gaussian-window moment maps.  The
+Gaussian window is separable, so the moment maps are taken with one 1D
+pass per axis over all five maps at once.  All verification arithmetic
+is float64; 32-bit data read from files is widened on entry.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X),
@@ -21,6 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 SEQUENCE_AXES = ("T", "Z", "Y", "X")
 FEATURE_AXES = ("C", "Z", "Y", "X")
@@ -141,13 +143,14 @@ def _gauss_1d(size: int, sigma: float) -> np.ndarray:
 class GaussianWindow:
     """Separable Gaussian weighting window, normalized to unit sum.
 
-    Sizes are per-axis and must be odd so the window has a center sample;
-    the weights are symmetric under reflection of any axis by construction.
+    Sizes are per-axis and must be odd so the window has a center sample.
+    The window is the outer product of the per-axis ``taps``; each tap
+    vector sums to one and is symmetric under reflection by construction.
     """
 
     sizes: tuple[int, ...]
     sigma: float
-    weights: np.ndarray
+    taps: tuple[np.ndarray, ...]
 
     @classmethod
     def create(cls, sizes, sigma: float = 1.5) -> "GaussianWindow":
@@ -159,11 +162,8 @@ class GaussianWindow:
         for s in sizes:
             if s < 1 or s % 2 == 0:
                 raise ValueError(f"window sizes must be odd and positive, got {sizes}")
-        w = _gauss_1d(sizes[0], sigma)
-        for s in sizes[1:]:
-            w = np.multiply.outer(w, _gauss_1d(s, sigma))
-        w = w / w.sum()
-        return cls(sizes, float(sigma), w)
+        taps = tuple(g / g.sum() for g in (_gauss_1d(s, sigma) for s in sizes))
+        return cls(sizes, float(sigma), taps)
 
     @classmethod
     def for_shape(cls, shape, size: int = 11, sigma: float = 1.5) -> "GaussianWindow":
@@ -264,34 +264,32 @@ def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
     return out.reshape((c_out,) + tuple(out_sp))
 
 
-def window_correlate(image, weights) -> np.ndarray:
-    """Correlate a bare spatial image with a window, valid positions only."""
-    img = as_f64(image, "image")
-    w = as_f64(weights, "window weights")
-    if w.ndim != img.ndim:
-        raise ValueError(f"window rank {w.ndim} does not match image rank {img.ndim}")
-    if any(ws > s for ws, s in zip(w.shape, img.shape)):
-        raise ValueError(f"window {w.shape} is larger than image {img.shape}")
-    win = sliding_window_view(img, w.shape)
-    return np.tensordot(win, w, axes=w.ndim)
-
-
 def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     """Weighted first and second moments of (x, y) at every window position.
 
-    Variances use the weighted E[v^2] - E[v]^2 form and are clamped at zero
-    to absorb catastrophic cancellation on near-constant regions; the
-    covariance is left unclamped.
+    Only fully interior positions are kept.  The maps x, y, x^2, y^2 and xy
+    are stacked and correlated with the window's taps one axis at a time,
+    cropping to the valid region after each pass.  Variances use the
+    weighted E[v^2] - E[v]^2 form and are clamped at zero to absorb
+    catastrophic cancellation on near-constant regions; the covariance is
+    left unclamped.
     """
     xa = as_f64(x, "x")
     ya = as_f64(y, "y")
     if xa.shape != ya.shape:
         raise ValueError(f"shape mismatch: x {xa.shape} vs y {ya.shape}")
-    w = window.weights
-    mu_x = window_correlate(xa, w)
-    mu_y = window_correlate(ya, w)
-    var_x = np.maximum(window_correlate(xa * xa, w) - mu_x * mu_x, 0.0)
-    var_y = np.maximum(window_correlate(ya * ya, w) - mu_y * mu_y, 0.0)
-    cov_xy = window_correlate(xa * ya, w) - mu_x * mu_y
+    if len(window.sizes) != xa.ndim:
+        raise ValueError(f"window rank {len(window.sizes)} does not match image rank {xa.ndim}")
+    if any(ws > s for ws, s in zip(window.sizes, xa.shape)):
+        raise ValueError(f"window {window.sizes} is larger than image {xa.shape}")
+    sums = np.stack([xa, ya, xa * xa, ya * ya, xa * ya])
+    for axis, taps in enumerate(window.taps, start=1):
+        sums = ndimage.correlate1d(sums, taps, axis=axis, mode="constant")
+        half = taps.size // 2
+        valid = slice(half, sums.shape[axis] - half)
+        sums = sums[(slice(None),) * axis + (valid,)]
+    mu_x, mu_y, e_xx, e_yy, e_xy = sums
+    var_x = np.maximum(e_xx - mu_x * mu_x, 0.0)
+    var_y = np.maximum(e_yy - mu_y * mu_y, 0.0)
+    cov_xy = e_xy - mu_x * mu_y
     return Moments(mu_x, mu_y, var_x, var_y, cov_xy)
-

@@ -3,6 +3,9 @@ import logging
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dcemetrics.metrics import (
     CEMask,
@@ -14,6 +17,10 @@ from dcemetrics.metrics import (
 )
 from dcemetrics.tensor import VolumeSequence
 from oracles import brute_force_edt, voxelwise_ce_mask, voxelwise_dice
+
+
+# masks up to 3D; sides start at 1 so 1-voxel axes are drawn often
+_masks = arrays(bool, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7))
 
 
 def _ellipse_mask(shape, center, radii):
@@ -107,6 +114,34 @@ class TestDistanceTransform:
     def test_spacing_rank_check(self):
         with pytest.raises(ValueError, match="spacing"):
             distance_transform(np.ones((3, 3), dtype=bool), spacing=(1.0,))
+
+    def test_rank_zero_mask_rejected(self):
+        with pytest.raises(ValueError, match="at least one axis"):
+            distance_transform(np.array(True))
+
+    @settings(derandomize=True, deadline=None)
+    @given(mask=_masks)
+    def test_property_matches_brute_force(self, mask):
+        npt.assert_array_equal(distance_transform(mask), brute_force_edt(mask))
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_anisotropic_spacing(self, data):
+        mask = data.draw(_masks)
+        spacing = data.draw(
+            st.tuples(*[st.floats(0.25, 4.0) for _ in range(mask.ndim)])
+        )
+        npt.assert_allclose(
+            distance_transform(mask, spacing=spacing),
+            brute_force_edt(mask, spacing=spacing),
+            rtol=1e-12,
+        )
+
+    @settings(derandomize=True, deadline=None)
+    @given(shape=array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7))
+    def test_property_degenerate_masks(self, shape):
+        assert np.all(np.isposinf(distance_transform(np.zeros(shape, dtype=bool))))
+        npt.assert_array_equal(distance_transform(np.ones(shape, dtype=bool)), 0.0)
 
 
 class TestDistanceMap:

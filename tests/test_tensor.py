@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,6 @@ from dcemetrics.tensor import (
     TensorND,
     VolumeSequence,
     conv,
-    window_correlate,
     windowed_moments,
 )
 from oracles import brute_conv, naive_window_moments
@@ -144,12 +145,14 @@ class TestConv:
 class TestGaussianWindow:
     def test_sum_is_one(self):
         w = GaussianWindow.create((11, 11), 1.5)
-        assert abs(w.weights.sum() - 1.0) < 1e-12
+        for taps in w.taps:
+            assert abs(taps.sum() - 1.0) < 1e-12
 
     def test_reflection_symmetry(self):
-        w = GaussianWindow.create((11, 7), 1.5).weights
-        npt.assert_array_equal(w, w[::-1, :])
-        npt.assert_array_equal(w, w[:, ::-1])
+        w = GaussianWindow.create((11, 7), 1.5)
+        assert [t.size for t in w.taps] == [11, 7]
+        for taps in w.taps:
+            npt.assert_array_equal(taps, taps[::-1])
 
     def test_rejects_even_or_nonpositive(self):
         with pytest.raises(ValueError, match="odd"):
@@ -184,8 +187,9 @@ class TestWindowedMoments:
         y = rng.uniform(0, 10, size=(16, 16))
         w = GaussianWindow.create((7, 7), 1.5)
         m = windowed_moments(x, y, w)
+        weights = np.multiply.outer(*w.taps)
         for pos in [(0, 0), (3, 5), (9, 9), (2, 0)]:
-            mu_x, mu_y, var_x, var_y, cov = naive_window_moments(x, y, w.weights, pos)
+            mu_x, mu_y, var_x, var_y, cov = naive_window_moments(x, y, weights, pos)
             assert m.mu_x[pos] == pytest.approx(mu_x, abs=1e-12)
             assert m.mu_y[pos] == pytest.approx(mu_y, abs=1e-12)
             assert m.var_x[pos] == pytest.approx(var_x, abs=1e-10)
@@ -213,11 +217,28 @@ class TestWindowedMoments:
         with pytest.raises(ValueError, match="mismatch"):
             windowed_moments(np.zeros((5, 5)), np.zeros((5, 6)), w)
 
+    def test_rank_mismatch(self):
+        w = GaussianWindow.create((3, 3), 1.5)
+        with pytest.raises(ValueError, match="rank"):
+            windowed_moments(np.zeros((5, 5, 5)), np.zeros((5, 5, 5)), w)
 
-class TestWindowCorrelate:
-    def test_uniform_window_is_local_mean(self):
-        x = np.arange(16.0).reshape(4, 4)
-        w = np.full((2, 2), 0.25)
-        out = window_correlate(x, w)
-        assert out.shape == (3, 3)
-        assert out[0, 0] == pytest.approx(np.mean(x[:2, :2]))
+    @pytest.mark.parametrize("shape", [(16, 48, 48), (32, 48, 48)])
+    def test_peak_memory_linear_in_voxels(self, shape):
+        # bound: 16 float64 values per input voxel, whatever the window size
+        rng = np.random.default_rng(53)
+        x = rng.uniform(0, 255, size=shape)
+        y = rng.uniform(0, 255, size=shape)
+        w = GaussianWindow.for_shape(shape)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            windowed_moments(x, y, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 16 * 8 * x.size, f"peak {peak / (8 * x.size):.1f} x 8 B per voxel"
+
