@@ -61,12 +61,8 @@ def _spatial_axes(x: np.ndarray) -> tuple[int, ...]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exact identity; tanh saturates instead of overflowing for any z
+    return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +467,12 @@ class FixedFeatureExtractor:
 
     def _lift(self, image) -> np.ndarray:
         x = as_f64(image, "image")
-        if x.ndim == self.kernels[0].ndim - 1:  # already (C, spatial...)
-            if x.shape[0] != self.in_channels:
+        n_sp = self.kernels[0].ndim - 2
+        if x.ndim > n_sp:  # already (C, spatial...) or a batch (B, C, spatial...)
+            if x.shape[-n_sp - 1] != self.in_channels:
                 raise ValueError(
-                    f"feature input has {x.shape[0]} channels, expected {self.in_channels}"
+                    f"feature input has {x.shape[-n_sp - 1]} channels, "
+                    f"expected {self.in_channels}"
                 )
             return x
         if self.in_channels != 1:
@@ -482,19 +480,20 @@ class FixedFeatureExtractor:
         return x[np.newaxis]
 
     def features(self, image) -> np.ndarray:
-        """Feature map (C_last, spatial...) for an image (spatial...)."""
-        a = self._lift(image)
-        for k, b in zip(self.kernels, self.biases):
-            z = conv(a, k, padding="zero") + b.reshape((-1,) + (1,) * (a.ndim - 1))
-            a = np.tanh(z)
-        return a
+        """Feature map (C_last, spatial...) for an image (spatial...) or (C, spatial...).
+
+        A batch (B, C, spatial...) gives (B, C_last, spatial...), each layer
+        running the whole batch through one convolution; gradient checks
+        pass their probes this way.
+        """
+        return self.features_and_vjp(image)[0]
 
     def features_and_vjp(self, image):
         """Features plus a pullback mapping d(loss)/d(features) to d(loss)/d(image)."""
         a = self._lift(image)
         activations = [a]
         for k, b in zip(self.kernels, self.biases):
-            z = conv(a, k, padding="zero") + b.reshape((-1,) + (1,) * (a.ndim - 1))
+            z = conv(a, k, padding="zero") + b.reshape((-1,) + (1,) * (k.ndim - 2))
             a = np.tanh(z)
             activations.append(a)
 
@@ -520,11 +519,14 @@ def gram_matrix(features, normalize: bool = True) -> np.ndarray:
     unless ``normalize`` is False.
     """
     f = _check_feature_map(as_f64(features, "features"), "features")
-    flat = f.reshape(f.shape[0], -1)
-    g = flat @ flat.T
-    if normalize:
-        g = g / flat.size
-    return g
+    return _grams(f[np.newaxis], normalize)[0]
+
+
+def _grams(f: np.ndarray, normalize: bool) -> np.ndarray:
+    """Gram matrices (B, C, C) of a stack of feature maps (B, C, spatial...)."""
+    flat = f.reshape(f.shape[:2] + (-1,))
+    g = flat @ flat.swapaxes(1, 2)
+    return g / flat[0].size if normalize else g
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +545,16 @@ def grad_loss_l1(a, b) -> np.ndarray:
     return np.sign(xa - xb) / xa.size
 
 
+def _adv_target(target) -> float:
+    if target not in (0.0, 1.0, 0, 1):
+        raise ValueError(f"target must be 0 or 1, got {target}")
+    return float(target)
+
+
 def loss_adv_mse(scores, target: float) -> float:
     """Mean squared distance of discriminator scores from a 0/1 target."""
     s = as_f64(scores, "scores")
-    if target not in (0.0, 1.0, 0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target}")
-    return float(((s - float(target)) ** 2).mean())
+    return float(((s - _adv_target(target)) ** 2).mean())
 
 
 def grad_loss_adv_mse(scores, target: float) -> np.ndarray:
@@ -556,9 +562,10 @@ def grad_loss_adv_mse(scores, target: float) -> np.ndarray:
     return 2.0 * (s - float(target)) / s.size
 
 
-def _feature_distance(fg: np.ndarray, fx: np.ndarray) -> float:
-    d = fg - fx
-    return float((d**2).sum() / d.size)
+def _feature_distance(fg: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """(1/f) ||fg[i] - fx||^2 for each map of a stack fg (B, C, spatial...)."""
+    d = (fg - fx).reshape(len(fg), -1)
+    return (d**2).sum(axis=1) / d.shape[1]
 
 
 def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
@@ -567,7 +574,7 @@ def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
     (1/f) * ||P(g) - P(x)||^2 with f the feature element count.
     """
     ga, xa = _same_shape(g, x, "g", "x")
-    return _feature_distance(extractor.features(ga), extractor.features(xa))
+    return float(_feature_distance(extractor.features(ga)[np.newaxis], extractor.features(xa))[0])
 
 
 def grad_loss_feature(g, x, extractor: FixedFeatureExtractor) -> np.ndarray:
@@ -578,16 +585,17 @@ def grad_loss_feature(g, x, extractor: FixedFeatureExtractor) -> np.ndarray:
     return vjp(2.0 * d / d.size)
 
 
-def _style_distance(fg: np.ndarray, gram_y: np.ndarray, normalize_gram: bool) -> float:
-    dg = gram_matrix(fg, normalize_gram) - gram_y
-    return float((dg**2).sum())
+def _style_distance(fg: np.ndarray, gram_y: np.ndarray, normalize_gram: bool) -> np.ndarray:
+    """||G(fg[i]) - gram_y||_F^2 for each map of a stack fg (B, C, spatial...)."""
+    dg = _grams(fg, normalize_gram) - gram_y
+    return (dg**2).sum(axis=(1, 2))
 
 
 def loss_style_frob(g, y, extractor: FixedFeatureExtractor, normalize_gram: bool = True) -> float:
     """Squared Frobenius distance between feature Gram matrices."""
     ga, ya = _same_shape(g, y, "g", "y")
     gram_y = gram_matrix(extractor.features(ya), normalize_gram)
-    return _style_distance(extractor.features(ga), gram_y, normalize_gram)
+    return float(_style_distance(extractor.features(ga)[np.newaxis], gram_y, normalize_gram)[0])
 
 
 def grad_loss_style_frob(
@@ -660,29 +668,48 @@ class GradCheckReport:
         return asdict(self)
 
 
-def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
-    """Return (value_fn over the first argument, analytic gradient).
+# probes per value_fn call; bounds the memory of one batched extractor pass
+_PROBE_CHUNK = 32
 
-    The feature losses extract the fixed second argument's features (or
-    Gram matrix) once here; each probe only re-extracts the first.
+
+def _probe_batch(probes: np.ndarray, fixed_features: np.ndarray) -> np.ndarray:
+    """Give a stack of plain-image probes the channel axis the extractor expects."""
+    return probes[:, np.newaxis] if probes.ndim == fixed_features.ndim else probes
+
+
+def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
+    """Return (value_fn, analytic gradient) for the first argument.
+
+    ``value_fn`` maps a stack of probes shaped (B, *first.shape) to their B
+    loss values.  The feature losses extract the fixed second argument's
+    features (or Gram matrix) once here and run each probe stack through
+    the extractor as one batch.
     """
     if loss_id == "l1":
-        a, b = inputs
-        return (lambda v: loss_l1(v, b)), grad_loss_l1(a, b)
+        a, b = _same_shape(*inputs, "a", "b")
+        return (
+            lambda p: np.abs(p - b).reshape(len(p), -1).mean(axis=1)
+        ), grad_loss_l1(a, b)
     if loss_id == "adv_mse":
         scores, target = inputs
-        return (lambda v: loss_adv_mse(v, target)), grad_loss_adv_mse(scores, target)
+        t = _adv_target(target)
+        return (
+            lambda p: ((p - t) ** 2).reshape(len(p), -1).mean(axis=1)
+        ), grad_loss_adv_mse(scores, target)
     if loss_id == "feature":
         g, x, extractor = inputs
         fx = extractor.features(_same_shape(g, x, "g", "x")[1])
         return (
-            lambda v: _feature_distance(extractor.features(v), fx)
+            lambda p: _feature_distance(extractor.features(_probe_batch(p, fx)), fx)
         ), grad_loss_feature(g, x, extractor)
     if loss_id == "style_frob":
         g, y, extractor = inputs
-        gram_y = gram_matrix(extractor.features(_same_shape(g, y, "g", "y")[1]))
+        fy = extractor.features(_same_shape(g, y, "g", "y")[1])
+        gram_y = gram_matrix(fy)
         return (
-            lambda v: _style_distance(extractor.features(v), gram_y, normalize_gram=True)
+            lambda p: _style_distance(
+                extractor.features(_probe_batch(p, fy)), gram_y, normalize_gram=True
+            )
         ), grad_loss_style_frob(g, y, extractor)
     raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
 
@@ -699,11 +726,14 @@ def grad_check(
     Samples ``n_coords`` coordinates of the first input (all of them when
     the array is smaller), perturbs each by +-h and reports the max
     relative error with denominator max(|analytic|, |numeric|, 1e-8).
+    Each probe moves exactly one coordinate; the 2 * n probes are
+    evaluated as stacks of ``_PROBE_CHUNK``, so a feature loss makes one
+    batched extractor pass per stack.
     For the L1 loss, coordinates whose difference is within 2h of a tie
     are excluded: the kink there makes finite differences meaningless.
     """
     value_fn, analytic = _loss_closure(loss_id, inputs)
-    base = as_f64(inputs[0], "inputs[0]").copy()
+    base = as_f64(inputs[0], "inputs[0]")
     if not np.all(np.isfinite(analytic)):
         return GradCheckReport(
             loss_id, float("inf"), 0, h, seed, ok=False, note="non-finite analytic gradient"
@@ -726,24 +756,25 @@ def grad_check(
     n = min(n_coords, eligible.size)
     coords = rng.choice(eligible, size=n, replace=False)
 
-    flat = base.ravel()
-    grad_flat = analytic.ravel()
-    max_err = 0.0
-    for idx in coords:
-        saved = flat[idx]
-        flat[idx] = saved + h
-        up = value_fn(base)
-        flat[idx] = saved - h
-        down = value_fn(base)
-        flat[idx] = saved
-        numeric = (up - down) / (2.0 * h)
-        if not np.isfinite(numeric):
-            return GradCheckReport(
-                loss_id, float("inf"), n, h, seed, ok=False, note="non-finite probe"
-            )
-        denom = max(abs(grad_flat[idx]), abs(numeric), 1e-8)
-        max_err = max(max_err, abs(grad_flat[idx] - numeric) / denom)
-    return GradCheckReport(loss_id, float(max_err), n, h, seed, ok=True, note=note)
+    # probe 2j moves coords[j] by +h, probe 2j + 1 moves it by -h
+    moved = np.repeat(coords, 2)
+    steps = np.tile([h, -h], n)
+    values = np.empty(2 * n)
+    for start in range(0, 2 * n, _PROBE_CHUNK):
+        chunk = slice(start, start + _PROBE_CHUNK)
+        idx = moved[chunk]
+        probes = np.repeat(base.reshape(1, -1), idx.size, axis=0)
+        probes[np.arange(idx.size), idx] += steps[chunk]
+        values[chunk] = value_fn(probes.reshape((idx.size,) + base.shape))
+    numeric = (values[0::2] - values[1::2]) / (2.0 * h)
+    if not np.all(np.isfinite(numeric)):
+        return GradCheckReport(
+            loss_id, float("inf"), n, h, seed, ok=False, note="non-finite probe"
+        )
+    exact = analytic.ravel()[coords]
+    denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-8)
+    max_err = float(np.max(np.abs(exact - numeric) / denom, initial=0.0))
+    return GradCheckReport(loss_id, max_err, n, h, seed, ok=True, note=note)
 
 
 def run_grad_checks(seed: int, image_shape: tuple[int, int] = (14, 14)) -> list[GradCheckReport]:

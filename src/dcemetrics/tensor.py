@@ -3,13 +3,18 @@
 Everything downstream (similarity metrics, adaptive kernels, phantom
 sequences) funnels through the small set of primitives in this module:
 grouped n-D cross-correlation and Gaussian-window moment maps.  The
-Gaussian window is separable, so the moment maps are taken with one 1D
-pass per axis over all five maps at once.  All verification arithmetic
-is float64; 32-bit data read from files is widened on entry.
+cross-correlation is kn2row: one matrix product per kernel tap against
+the flattened, padded input shifted by that tap's offset, summed into one
+accumulator, so no window of the input is ever copied; channel groups
+and an optional leading batch axis are broadcast axes of those products.
+The Gaussian window is separable, so the moment maps are taken with one
+1D pass per axis over all five maps at once.  All verification
+arithmetic is float64; 32-bit data read from files is widened on entry.
 
 Conventions:
-  * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X),
-    with leading axes dropped for lower-rank data;
+  * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
+    and batches of them (B, C, Z, Y, X), with spatial axes dropped for
+    lower-rank data;
   * ``conv`` is a cross-correlation (deep-learning convention, kernel
     not flipped);
   * all operations are pure functions of their inputs.
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 SEQUENCE_AXES = ("T", "Z", "Y", "X")
@@ -187,33 +191,28 @@ class Moments(NamedTuple):
     cov_xy: np.ndarray
 
 
-def _pad_spatial(x: np.ndarray, kernel_shape, padding: str, n_lead: int) -> np.ndarray:
-    """Pad the trailing axes of ``x`` so same-size correlation is possible."""
-    pads = [(0, 0)] * n_lead
-    for k in kernel_shape:
-        if k % 2 == 0:
-            raise ValueError(
-                f"padding '{padding}' needs odd kernel sizes, got {tuple(kernel_shape)}"
-            )
-        pads.append((k // 2, k // 2))
-    mode = "constant" if padding == "zero" else "reflect"
-    return np.pad(x, pads, mode=mode)
-
-
 def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
     """Grouped n-D cross-correlation over a channel-first array.
 
+    Computed kn2row-style (Vasudevan, Anderson and Gregg 2017): the padded
+    input's spatial axes are flattened, and for each kernel tap one matrix
+    product of that tap's (C_out, C_in) weights with the flat input shifted
+    by the tap's offset is added into an accumulator on the padded grid,
+    whose wrapped-around columns are cropped at the end.  No window of the
+    input is copied; groups and the optional batch axis are broadcast axes
+    of the products.
+
     Args:
-        x: input of shape (C_in, spatial...).
-        kernel: weights of shape (C_out, C_in // groups, k_1, ..., k_n); the
-            kernel rank must be the input rank plus one.
+        x: input of shape (C_in, spatial...), or (B, C_in, spatial...) for a
+            batch, which is read as such when its rank equals the kernel's.
+        kernel: weights of shape (C_out, C_in // groups, k_1, ..., k_n).
         padding: 'zero' or 'reflect' keep the spatial size (odd kernels
             only); 'valid' shrinks it by k - 1 per axis.
         groups: channel groups; ``groups == C_in`` with a (C, 1, k...) kernel
             is a depthwise pass.
 
     Returns:
-        Array of shape (C_out, spatial...).
+        Array of shape (C_out, spatial...), or (B, C_out, spatial...).
     """
     x = as_f64(x, "conv input")
     k = as_f64(kernel, "conv kernel")
@@ -221,47 +220,59 @@ def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
         raise ValueError(f"unknown padding {padding!r}, expected one of {PADDING_MODES}")
     if x.ndim < 2:
         raise ValueError("conv input must have a channel axis plus spatial axes")
-    if k.ndim != x.ndim + 1:
+    n_sp = k.ndim - 2
+    if n_sp < 1 or x.ndim not in (n_sp + 1, n_sp + 2):
         raise ValueError(
             f"kernel rank {k.ndim} does not match input rank {x.ndim} "
             f"(expected spatial rank {x.ndim - 1} plus two channel axes)"
         )
-    c_in = x.shape[0]
+    lead = x.shape[: x.ndim - n_sp - 1]  # () or (B,)
+    c_in = x.shape[len(lead)]
     c_out, c_per_group = k.shape[:2]
     if groups < 1 or c_in % groups or c_out % groups:
         raise ValueError(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_per_group != c_in // groups:
+        layout = "(B, C_in, spatial...)" if lead else "(C_in, spatial...)"
         raise ValueError(
             f"kernel expects {c_per_group} channels per group, input provides "
-            f"{c_in // groups} (C_in={c_in}, groups={groups})"
+            f"{c_in // groups} (C_in={c_in}, groups={groups}; a rank-{x.ndim} "
+            f"input reads as {layout})"
         )
     kshape = k.shape[2:]
-    spatial = x.shape[1:]
+    spatial = x.shape[-n_sp:]
     if padding == "valid":
         out_sp = tuple(n - ks + 1 for n, ks in zip(spatial, kshape))
         if any(n < 1 for n in out_sp):
             raise ValueError(
                 f"kernel {kshape} does not fit in spatial extent {spatial} (valid mode)"
             )
-        xp = x
+        halves = (0,) * n_sp
     else:
-        xp = _pad_spatial(x, kshape, padding, n_lead=1)
+        if any(ks % 2 == 0 for ks in kshape):
+            raise ValueError(f"padding '{padding}' needs odd kernel sizes, got {kshape}")
         out_sp = spatial
+        halves = tuple(ks // 2 for ks in kshape)
+    # one spare slab after the first spatial axis keeps every tap's shifted
+    # read in bounds; it feeds only columns that are cropped away
+    pads = [(0, 0)] * (x.ndim - n_sp) + [(h, h + (i == 0)) for i, h in enumerate(halves)]
+    xp = np.pad(x, pads, mode="reflect" if padding == "reflect" else "constant")
 
-    win = sliding_window_view(xp, kshape, axis=tuple(range(1, xp.ndim)))
-    # win: (C_in, out_spatial..., kshape...)
-    n_pos = int(np.prod(out_sp)) if out_sp else 1
-    ktail = int(np.prod(kshape)) if kshape else 1
-    winflat = win.reshape(c_in, n_pos, ktail)
-    out = np.empty((c_out, n_pos), dtype=np.float64)
-    opg = c_out // groups
-    cpg = c_in // groups
-    for g in range(groups):
-        block = winflat[g * cpg : (g + 1) * cpg]
-        block = np.moveaxis(block, 0, 1).reshape(n_pos, cpg * ktail)
-        kg = k[g * opg : (g + 1) * opg].reshape(opg, cpg * ktail)
-        out[g * opg : (g + 1) * opg] = kg @ block.T
-    return out.reshape((c_out,) + tuple(out_sp))
+    # output position p reads tap t at flat column (p + t) . strides of the
+    # padded grid; rows of the accumulator run the padded grid's full width
+    padded = xp.shape[-n_sp:]
+    strides = np.cumprod((1,) + padded[:0:-1])[::-1]  # row-major, in elements
+    offsets = np.dot(list(np.ndindex(*kshape)), strides)
+    width = out_sp[0] * int(strides[0])
+    flat = xp.reshape(lead + (groups, c_in // groups, -1))
+    taps = np.moveaxis(k.reshape(groups, c_out // groups, c_per_group, -1), -1, 0).copy()
+    acc = np.matmul(taps[0], flat[..., :width])  # the first tap's offset is 0
+    part = np.empty_like(acc)
+    for tap, offset in zip(taps[1:], offsets[1:]):
+        np.matmul(tap, flat[..., offset : offset + width], out=part)
+        acc += part
+    del part  # before the cropped copy, which bounds the peak memory
+    acc = acc.reshape(lead + (c_out, out_sp[0]) + padded[1:])
+    return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in out_sp[1:])])
 
 
 def windowed_moments(x, y, window: GaussianWindow) -> Moments:

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dcemetrics import kernels
 from dcemetrics.kernels import (
     AdaConvKernelSet,
     ConvLSTMState,
@@ -35,7 +36,7 @@ class _LinearExtractor:
 
     def features(self, image):
         x = np.asarray(image, dtype=np.float64)
-        return x if x.ndim == 3 else x[np.newaxis]
+        return x if x.ndim >= 3 else x[np.newaxis]
 
     def features_and_vjp(self, image):
         x = np.asarray(image, dtype=np.float64)
@@ -524,6 +525,40 @@ class TestGradCheck:
         # the values and once for the gradient; re-extracting it per probe
         # would double the count
         assert len(calls) <= 2 * 16 + 2
+
+    @pytest.mark.parametrize("loss_id", ["feature", "style_frob"])
+    def test_probes_run_in_batches(self, loss_id, monkeypatch):
+        calls = []
+        features = FixedFeatureExtractor.features
+
+        def counting(self, image):
+            calls.append(1)
+            return features(self, image)
+
+        monkeypatch.setattr(FixedFeatureExtractor, "features", counting)
+        rng = np.random.default_rng(39)
+        ex = FixedFeatureExtractor.from_seed(1)
+        g, fixed = rng.normal(size=(14, 14)), rng.normal(size=(14, 14))
+        report = grad_check(loss_id, (g, fixed, ex), seed=7, n_coords=64)
+        assert report.ok and report.max_rel_error <= 1e-4
+        # the fixed side twice, then one call per stack of probes
+        assert len(calls) <= 2 + math.ceil(2 * 64 / kernels._PROBE_CHUNK)
+
+    @pytest.mark.parametrize("loss_id", ["feature", "style_frob"])
+    def test_skewed_gradient_is_caught(self, loss_id):
+        # an analytic gradient 1% too large must show as a relative error of
+        # about 0.01; probes that moved more than their own coordinate would
+        # report something else entirely
+        class SkewedExtractor(FixedFeatureExtractor):
+            def features_and_vjp(self, image):
+                f, vjp = super().features_and_vjp(image)
+                return f, lambda cotangent: 1.01 * vjp(cotangent)
+
+        rng = np.random.default_rng(40)
+        ex = SkewedExtractor.from_seed(2)
+        g, fixed = rng.normal(size=(10, 10)), rng.normal(size=(10, 10))
+        report = grad_check(loss_id, (g, fixed, ex), seed=8, n_coords=40)
+        assert report.ok and 0.005 <= report.max_rel_error <= 0.02
 
     def test_unknown_loss_id(self):
         with pytest.raises(ValueError, match="loss_id"):

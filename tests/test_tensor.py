@@ -14,6 +14,21 @@ from dcemetrics.tensor import (
 from oracles import brute_conv, naive_window_moments
 
 
+def _traced_peak(call) -> int:
+    """Bytes allocated at the tracemalloc peak of ``call()`` above its start."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 class TestTensorND:
     def test_from_flat_shape_consistency(self):
         t = TensorND.from_flat([1, 2, 3, 4, 5, 6], (2, 3), axis_labels=("Y", "X"))
@@ -141,6 +156,49 @@ class TestConv:
         with pytest.raises(ValueError, match="odd"):
             conv(x, np.ones((1, 2, 2, 2)), padding="zero")
 
+    @pytest.mark.parametrize("padding", ["zero", "reflect", "valid"])
+    @pytest.mark.parametrize(
+        "spatial, c_in, c_out, groups",
+        [
+            ((6, 5), 4, 6, 1),
+            ((6, 5), 4, 6, 2),
+            ((6, 5), 4, 4, 4),
+            ((4, 5, 3), 2, 3, 1),
+            ((4, 5, 3), 4, 2, 2),
+            ((4, 5, 3), 3, 3, 3),
+        ],
+    )
+    def test_batch_axis_matches_items(self, spatial, c_in, c_out, groups, padding):
+        rng = np.random.default_rng(17)
+        xb = rng.normal(size=(3, c_in) + spatial)
+        k = rng.normal(size=(c_out, c_in // groups) + (3,) * len(spatial))
+        out = conv(xb, k, padding=padding, groups=groups)
+        assert out.shape[:2] == (3, c_out)
+        for x, got in zip(xb, out):
+            npt.assert_array_equal(got, conv(x, k, padding=padding, groups=groups))
+            npt.assert_allclose(
+                got, brute_conv(x, k, padding=padding, groups=groups), atol=1e-12
+            )
+
+    def test_batch_shape_errors(self):
+        xb = np.ones((2, 4, 6, 6))
+        with pytest.raises(ValueError, match="rank"):
+            conv(xb[np.newaxis], np.ones((1, 4, 3, 3)))
+        with pytest.raises(ValueError, match="groups"):
+            conv(xb, np.ones((3, 2, 3, 3)), groups=2)
+        with pytest.raises(ValueError, match="channels per group"):
+            conv(xb, np.ones((2, 3, 3, 3)))
+
+    @pytest.mark.parametrize("shape, c_out", [((12, 64, 64), 32), ((4, 8, 12, 12), 8)])
+    def test_peak_memory_linear_in_voxels(self, shape, c_out):
+        # bound: four times the bytes of the input plus the output
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=shape)
+        k = rng.normal(size=(c_out, shape[0]) + (3,) * (len(shape) - 1))
+        peak = _traced_peak(lambda: conv(x, k))
+        io_bytes = x.nbytes + 8 * c_out * x[0].size
+        assert peak <= 4 * io_bytes, f"peak {peak / io_bytes:.1f} x input plus output bytes"
+
 
 class TestGaussianWindow:
     def test_sum_is_one(self):
@@ -229,16 +287,6 @@ class TestWindowedMoments:
         x = rng.uniform(0, 255, size=shape)
         y = rng.uniform(0, 255, size=shape)
         w = GaussianWindow.for_shape(shape)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            windowed_moments(x, y, w)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = _traced_peak(lambda: windowed_moments(x, y, w))
         assert peak < 16 * 8 * x.size, f"peak {peak / (8 * x.size):.1f} x 8 B per voxel"
 
