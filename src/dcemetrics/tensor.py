@@ -223,8 +223,9 @@ def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
     n_sp = k.ndim - 2
     if n_sp < 1 or x.ndim not in (n_sp + 1, n_sp + 2):
         raise ValueError(
-            f"kernel rank {k.ndim} does not match input rank {x.ndim} "
-            f"(expected spatial rank {x.ndim - 1} plus two channel axes)"
+            f"kernel rank {k.ndim} does not match input rank {x.ndim} (expected "
+            f"spatial rank {x.ndim - 1} plus two channel axes, or the input's "
+            f"rank for a batch (B, C_in, spatial...))"
         )
     lead = x.shape[: x.ndim - n_sp - 1]  # () or (B,)
     c_in = x.shape[len(lead)]
