@@ -559,7 +559,7 @@ def loss_adv_mse(scores, target: float) -> float:
 
 def grad_loss_adv_mse(scores, target: float) -> np.ndarray:
     s = as_f64(scores, "scores")
-    return 2.0 * (s - float(target)) / s.size
+    return 2.0 * (s - _adv_target(target)) / s.size
 
 
 def _feature_distance(fg: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -144,7 +144,11 @@ class MetricReport:
 
 @dataclass
 class EvalParams:
-    """Knobs for evaluating one triple end to end."""
+    """Knobs for evaluating one triple end to end.
+
+    ``ms_ssim`` configures every SSIM-family score; its ``data_range`` and
+    ``per_slice`` must stay unset, as ``data_range`` and ``slice_mode`` own them.
+    """
 
     threshold: float = 20.0
     baseline_index: int = 0
@@ -154,7 +158,6 @@ class EvalParams:
     peak: float | None = None  # None: style max - min
     data_range: float | None = None  # None: content max - min
     direction: str = "nce_to_ce"
-    ssim: SSIMParams = field(default_factory=SSIMParams)
     ms_ssim: MSSSIMParams = field(default_factory=MSSSIMParams)
 
 
@@ -272,19 +275,39 @@ def _resolve_range(reference: np.ndarray, data_range) -> float:
     return float(data_range)
 
 
-def _ssim_cs_maps(x, y, window: GaussianWindow, c1: float, c2: float):
-    m = windowed_moments(x, y, window)
-    lum = (2.0 * m.mu_x * m.mu_y + c1) / (m.mu_x**2 + m.mu_y**2 + c1)
-    cs = (2.0 * m.cov_xy + c2) / (m.var_x + m.var_y + c2)
-    return lum * cs, cs
+def _downsample2(a: np.ndarray) -> np.ndarray:
+    """Non-overlapping 2x mean pooling; odd tails are dropped."""
+    for ax in range(a.ndim):
+        n = a.shape[ax] - (a.shape[ax] % 2)
+        a = a[(slice(None),) * ax + (slice(0, n),)]
+        shp = a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1 :]
+        a = a.reshape(shp).mean(axis=ax + 1)
+    return a
 
 
-def _ssim_single(x, y, params: SSIMParams, data_range: float):
+def _ssim_scales(x, y, params: SSIMParams, data_range: float, n_scales: int):
+    """(mean SSIM, mean contrast-structure) at each of ``n_scales`` dyadic scales.
+
+    One window serves every scale: each scale ``ms_ssim_scale_count`` admits
+    still holds the full-resolution window on every axis.
+    """
     window = GaussianWindow.for_shape(x.shape, params.window_size, params.sigma)
     c1 = (params.k1 * data_range) ** 2
     c2 = (params.k2 * data_range) ** 2
-    ssim_map, cs_map = _ssim_cs_maps(x, y, window, c1, c2)
-    return float(ssim_map.mean()), float(cs_map.mean())
+    pairs = []
+    for scale in range(n_scales):
+        if scale:
+            x, y = _downsample2(x), _downsample2(y)
+        m = windowed_moments(x, y, window)
+        lum = (2.0 * m.mu_x * m.mu_y + c1) / (m.mu_x**2 + m.mu_y**2 + c1)
+        cs = (2.0 * m.cov_xy + c2) / (m.var_x + m.var_y + c2)
+        pairs.append((float((lum * cs).mean()), float(cs.mean())))
+    return pairs
+
+
+def _slice_pairs(xa, ya, params: SSIMParams) -> list:
+    """The (x, y) pairs scored and averaged: slices of a volume, or the whole."""
+    return list(zip(xa, ya)) if params.per_slice and xa.ndim == 3 else [(xa, ya)]
 
 
 def ssim(x, y, params: SSIMParams | None = None) -> float:
@@ -298,20 +321,8 @@ def ssim(x, y, params: SSIMParams | None = None) -> float:
     params = params or SSIMParams()
     xa, ya = _check_pair(x, y)
     data_range = _resolve_range(xa, params.data_range)
-    if params.per_slice and xa.ndim == 3:
-        vals = [_ssim_single(xs, ys, params, data_range)[0] for xs, ys in zip(xa, ya)]
-        return float(np.mean(vals))
-    return _ssim_single(xa, ya, params, data_range)[0]
-
-
-def _downsample2(a: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x mean pooling; odd tails are dropped."""
-    for ax in range(a.ndim):
-        n = a.shape[ax] - (a.shape[ax] % 2)
-        a = a[(slice(None),) * ax + (slice(0, n),)]
-        shp = a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1 :]
-        a = a.reshape(shp).mean(axis=ax + 1)
-    return a
+    return float(np.mean([_ssim_scales(xs, ys, params, data_range, 1)[0][0]
+                          for xs, ys in _slice_pairs(xa, ya, params)]))
 
 
 def ms_ssim_scale_count(shape, params: MSSSIMParams | None = None) -> int:
@@ -331,14 +342,32 @@ def ms_ssim_scale_count(shape, params: MSSSIMParams | None = None) -> int:
     return usable
 
 
-def _ms_exponents(params: MSSSIMParams, n_scales: int) -> tuple[float, ...]:
-    if len(params.scale_exponents) < params.scales:
-        raise ValueError(
-            f"{params.scales} scales need {params.scales} exponents, "
-            f"got {len(params.scale_exponents)}"
-        )
-    trimmed = params.scale_exponents[:n_scales]
-    return tuple(w / sum(trimmed) for w in trimmed)
+def _ssim_and_ms_ssim(xa, ya, params: MSSSIMParams) -> tuple[float, float]:
+    """SSIM and MS-SSIM of a checked pair; SSIM is MS-SSIM's first-scale term."""
+    data_range = _resolve_range(xa, params.data_range)
+    pairs = _slice_pairs(xa, ya, params)
+    shape = pairs[0][0].shape
+    usable = ms_ssim_scale_count(shape, params)
+    if usable < params.scales:
+        if not params.allow_scale_reduction:
+            need = params.window_size * 2 ** (params.scales - 1)
+            raise ValueError(f"image {shape} too small for {params.scales} scales; needs at "
+                             f"least {need} per spatial axis (window {params.window_size})")
+        logger.info("ms_ssim: reduced to %d of %d scales for shape %s",
+                    usable, params.scales, shape)
+    if not 1 <= params.scales <= len(params.scale_exponents):
+        raise ValueError(f"scales must lie in 1..{len(params.scale_exponents)} (one "
+                         f"exponent each), got {params.scales}")
+    trimmed = params.scale_exponents[:usable]
+    exponents = [w / sum(trimmed) for w in trimmed]
+
+    ssims, ms_ssims = [], []
+    for xs, ys in pairs:
+        per_scale = _ssim_scales(xs, ys, params, data_range, usable)
+        terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
+        ssims.append(per_scale[0][0])
+        ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))
+    return float(np.mean(ssims)), float(np.mean(ms_ssims))
 
 
 def ms_ssim(x, y, params: MSSSIMParams | None = None) -> float:
@@ -348,36 +377,7 @@ def ms_ssim(x, y, params: MSSSIMParams | None = None) -> float:
     coarsest scale are combined as a weighted geometric mean.  Negative
     per-scale terms are clamped at zero before exponentiation.
     """
-    params = params or MSSSIMParams()
-    xa, ya = _check_pair(x, y)
-    data_range = _resolve_range(xa, params.data_range)
-    if params.per_slice and xa.ndim == 3:
-        sub = replace(params, per_slice=False, data_range=data_range)
-        return float(np.mean([ms_ssim(xs, ys, sub) for xs, ys in zip(xa, ya)]))
-
-    usable = ms_ssim_scale_count(xa.shape, params)
-    if usable < params.scales:
-        if not params.allow_scale_reduction:
-            need = params.window_size * 2 ** (params.scales - 1)
-            raise ValueError(
-                f"image {xa.shape} too small for {params.scales} scales; needs at "
-                f"least {need} per spatial axis (window {params.window_size})"
-            )
-        logger.info("ms_ssim: reduced to %d of %d scales for shape %s",
-                    usable, params.scales, xa.shape)
-    exponents = _ms_exponents(params, usable)
-
-    value = 1.0
-    xs, ys = xa, ya
-    for scale in range(usable):
-        ssim_val, cs_val = _ssim_single(xs, ys, params, data_range)
-        if scale < usable - 1:
-            value *= max(cs_val, 0.0) ** exponents[scale]
-            xs = _downsample2(xs)
-            ys = _downsample2(ys)
-        else:
-            value *= max(ssim_val, 0.0) ** exponents[scale]
-    return float(value)
+    return _ssim_and_ms_ssim(*_check_pair(x, y), params or MSSSIMParams())[1]
 
 
 def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
@@ -446,15 +446,19 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     """Full score battery for one (generated, content, style) triple.
 
     Pairings: PSNR scores the generated image against the style image;
-    SSIM and MS-SSIM score it against the content image; the
-    contrast-weighted SSIMs score content agreement under the plain map
-    and style agreement under the inverted map.  One shared dynamic range,
-    taken from the unweighted content image unless overridden, feeds every
-    SSIM-family score.
+    SSIM (MS-SSIM's first-scale term) and MS-SSIM score it against the
+    content image; the contrast-weighted SSIMs score content agreement
+    under the plain map and style agreement under the inverted map.  One
+    shared dynamic range, from the unweighted content image unless
+    ``params.data_range`` is set, feeds every SSIM-family score.
     """
     params = params or EvalParams()
     if params.direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
+    if params.ms_ssim.data_range is not None:
+        raise ValueError("set EvalParams.data_range, not EvalParams.ms_ssim.data_range")
+    if params.ms_ssim.per_slice:
+        raise ValueError("set EvalParams.slice_mode, not EvalParams.ms_ssim.per_slice")
     gen = as_f64(generated, "generated")
     con = as_f64(content, "content")
     sty = as_f64(style, "style")
@@ -468,6 +472,9 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
             f"mask sequence spatial shape {seq_for_mask.spatial_shape} does not "
             f"match images {gen.shape}"
         )
+    per_slice = params.slice_mode == "2d" and gen.ndim == 3
+    sp = replace(params.ms_ssim, data_range=_resolve_range(con, params.data_range),
+                 per_slice=per_slice)
 
     notes: list[str] = []
     ce = detect_ce(seq_for_mask, params.baseline_index, params.threshold,
@@ -480,25 +487,15 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
         notes.append("every voxel detected as CE; content weighting is uniform 0.1")
     dm_inv = invert_map(dm)
 
-    data_range = params.data_range
-    if data_range is None:
-        data_range = float(con.max() - con.min())
-    per_slice = params.slice_mode == "2d" and gen.ndim == 3
-    sp = replace(params.ssim, data_range=data_range, per_slice=per_slice)
-    mp = replace(params.ms_ssim, data_range=data_range, per_slice=per_slice)
-
-    peak = params.peak
-    if peak is None:
-        peak = float(sty.max() - sty.min())
-
-    used = ms_ssim_scale_count(gen.shape if not per_slice else gen.shape[1:], mp)
-    if used < mp.scales:
-        notes.append(f"ms_ssim used {used} of {mp.scales} scales")
+    used = ms_ssim_scale_count(gen.shape if not per_slice else gen.shape[1:], sp)
+    if used < sp.scales:
+        notes.append(f"ms_ssim used {used} of {sp.scales} scales")
+    ssim_cg, ms_ssim_cg = _ssim_and_ms_ssim(con, gen, sp)
 
     return MetricReport(
-        psnr_style_vs_gen=psnr(sty, gen, peak),
-        ssim_content_vs_gen=ssim(con, gen, sp),
-        ms_ssim_content_vs_gen=ms_ssim(con, gen, mp),
+        psnr_style_vs_gen=psnr(sty, gen, params.peak),
+        ssim_content_vs_gen=ssim_cg,
+        ms_ssim_content_vs_gen=ms_ssim_cg,
         cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),
         cw_ssim_style=cw_ssim(gen, sty, dm_inv, sp, mode="style"),
         direction=params.direction,

@@ -28,9 +28,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import ndimage
 
-SEQUENCE_AXES = ("T", "Z", "Y", "X")
-FEATURE_AXES = ("C", "Z", "Y", "X")
-
 PADDING_MODES = ("zero", "reflect", "valid")
 
 

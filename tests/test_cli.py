@@ -190,6 +190,30 @@ class TestMetrics:
             outs.append(read_report(out))
         assert canonical_bytes(outs[0]) == canonical_bytes(outs[1])
 
+    def test_constant_content_exits_nonzero(self, tmp_path, phantom_spec_file, capsys):
+        _, spec = phantom_spec_file
+        paths = self._setup(tmp_path, spec)
+        write_tensor(paths["content"], np.full(spec.grid, 50.0))
+        out = tmp_path / "r.json"
+        rc = main(
+            [
+                "metrics",
+                "--generated",
+                str(paths["generated"]),
+                "--content",
+                str(paths["content"]),
+                "--style",
+                str(paths["style"]),
+                "--seq",
+                str(paths["seq"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 1
+        assert "data_range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_peak_flag(self, tmp_path, phantom_spec_file):
         _, spec = phantom_spec_file
         paths = self._setup(tmp_path, spec)

@@ -403,6 +403,10 @@ class TestLosses:
         with pytest.raises(ValueError, match="target"):
             loss_adv_mse(np.zeros(4), 0.5)
 
+    def test_adv_gradient_rejects_bad_target(self):
+        with pytest.raises(ValueError, match="target"):
+            grad_loss_adv_mse(np.ones(4), 0.5)
+
     def test_adv_matches_scalar_loop(self):
         rng = np.random.default_rng(26)
         s = rng.normal(size=17)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dcemetrics.metrics as metrics
 from dcemetrics.metrics import (
     MS_SSIM_EXPONENTS,
     EvalParams,
@@ -164,6 +165,12 @@ class TestMSSSIM:
         expected = naive_ms_ssim(x, y, w / w.sum(), _gauss_window((11, 11)), 255.0)
         npt.assert_allclose(ms_ssim(x, y, p), expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("scales", [0, 6])
+    def test_scale_count_outside_exponents_rejected(self, scales):
+        x = _image(44, (64, 64))
+        with pytest.raises(ValueError, match="scales"):
+            ms_ssim(x, x, MSSSIMParams(data_range=255.0, scales=scales))
+
 
 class TestCWSSIM:
     def _triple(self, seed, shape=(24, 24)):
@@ -241,11 +248,10 @@ class TestPSNR:
 
 
 class TestEvaluateTriple:
-    def _sequence_and_triple(self, seed):
+    def _sequence_and_triple(self, seed, shape=(24, 24)):
         rng = np.random.default_rng(seed)
-        shape = (24, 24)
-        grids = np.ogrid[0:24, 0:24]
-        truth = sum(((g - 12) / 6.0) ** 2 for g in grids) <= 1.0
+        grids = np.ogrid[tuple(slice(0, n) for n in shape)]
+        truth = sum(((g - n / 2) / (n / 4)) ** 2 for g, n in zip(grids, shape)) <= 1.0
         frames = np.full((5, *shape), 60.0)
         frames[1:] += 90.0 * truth
         frames += rng.normal(0, 2.0, frames.shape)
@@ -281,6 +287,11 @@ class TestEvaluateTriple:
         sp = SSIMParams(data_range=L)
         npt.assert_allclose(report.ssim_content_vs_gen, ssim(c, g, sp), atol=1e-15)
         npt.assert_allclose(
+            report.ms_ssim_content_vs_gen,
+            ms_ssim(c, g, MSSSIMParams(data_range=L)),
+            atol=1e-15,
+        )
+        npt.assert_allclose(
             report.cw_ssim_content, ssim(c * dm.weights, g * dm.weights, sp), atol=1e-15
         )
         npt.assert_allclose(
@@ -291,6 +302,71 @@ class TestEvaluateTriple:
             psnr(s, g, peak=float(s.max() - s.min())),
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize(
+        "shape, slice_mode, calls",
+        [((176, 176), "3d", 7), ((4, 40, 40), "3d", 3), ((4, 40, 40), "2d", 16)],
+    )
+    def test_content_pair_scored_once(self, shape, slice_mode, calls, monkeypatch):
+        # SSIM is MS-SSIM's first-scale term: one moment pass per MS-SSIM scale
+        # (per slice in 2D mode) plus one per contrast-weighted SSIM
+        seq, g, c, s = self._sequence_and_triple(67, shape)
+        moments = metrics.windowed_moments
+        seen = []
+        monkeypatch.setattr(
+            metrics, "windowed_moments", lambda *a: seen.append(1) or moments(*a)
+        )
+        report = evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode))
+        assert len(seen) == calls
+        L = float(c.max() - c.min())
+        per_slice = slice_mode == "2d"
+        assert report.ssim_content_vs_gen == ssim(
+            c, g, SSIMParams(data_range=L, per_slice=per_slice)
+        )
+        assert report.ms_ssim_content_vs_gen == ms_ssim(
+            c, g, MSSSIMParams(data_range=L, per_slice=per_slice)
+        )
+
+    @pytest.mark.parametrize(
+        "setting, owner",
+        [({"data_range": 255.0}, "data_range"), ({"per_slice": True}, "slice_mode")],
+    )
+    def test_ms_ssim_settings_owned_elsewhere_rejected(self, setting, owner):
+        seq, g, c, s = self._sequence_and_triple(68)
+        params = EvalParams(ms_ssim=MSSSIMParams(**setting))
+        with pytest.raises(ValueError, match=f"EvalParams.{owner}"):
+            evaluate_triple(g, c, s, seq, params)
+
+    @pytest.mark.parametrize("constant_style", [False, True])
+    def test_constant_content_needs_data_range(self, constant_style, monkeypatch):
+        seq, g, c, s = self._sequence_and_triple(69)
+        for name in ("psnr", "windowed_moments"):
+            monkeypatch.setattr(metrics, name, pytest.fail)  # no score may start
+        style = np.full_like(s, 3.0) if constant_style else s
+        with pytest.raises(ValueError, match="data_range"):
+            evaluate_triple(g, np.full_like(c, 7.0), style, seq, EvalParams())
+
+    def test_physical_spacing_weights_cw_ssim(self):
+        seq, g, c, s = self._sequence_and_triple(70)
+        spacing = (1.0, 2.5)
+        seq_mm = VolumeSequence(seq.frames, spacing_mm=spacing)
+        params = EvalParams(spacing_mode="physical")
+        report = evaluate_triple(g, c, s, seq_mm, params)
+
+        dm = distance_map(detect_ce(seq_mm, params.baseline_index, params.threshold),
+                          spacing, "physical")
+        inv = invert_map(dm)
+        sp = SSIMParams(data_range=float(c.max() - c.min()))
+        npt.assert_allclose(
+            report.cw_ssim_content, ssim(c * dm.weights, g * dm.weights, sp), atol=1e-15
+        )
+        npt.assert_allclose(
+            report.cw_ssim_style, ssim(s * inv.weights, g * inv.weights, sp), atol=1e-15
+        )
+        voxel = evaluate_triple(g, c, s, seq_mm, EvalParams())
+        assert report.cw_ssim_content != voxel.cw_ssim_content
+        with pytest.raises(ValueError, match="spacing"):
+            evaluate_triple(g, c, s, seq, params)
 
     def test_shared_range_comes_from_content(self):
         # widening the style image must not perturb SSIM-family scores
