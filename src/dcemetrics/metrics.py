@@ -16,6 +16,8 @@ Pipeline for one (generated, content, style) triple:
 
 Distances come from scipy's exact Euclidean distance transform, so
 weightings are reproducible down to the last bit across runs.
+``scipy.ndimage`` is loaded by the first ``distance_transform`` or
+``windowed_moments`` call, not by importing this module.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .tensor import GaussianWindow, VolumeSequence, as_f64, windowed_moments
 
@@ -210,6 +211,8 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     if not m.any():
         # scipy measures to a point outside the array here; there is no site
         return np.full(m.shape, np.inf)
+    from scipy import ndimage  # on first use, so importing the package skips it
+
     return ndimage.distance_transform_edt(~m, sampling=spacing)
 
 

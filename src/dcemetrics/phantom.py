@@ -3,7 +3,8 @@
 Ellipse/ellipsoid regions sit on a flat background; enhancing regions add
 a gamma-variate bolus curve on top of their painted baseline.  Everything
 is deterministic per seed, so the same spec always yields bit-identical
-volumes, truth masks and curves.
+volumes, truth masks and curves.  ``scipy.ndimage`` is loaded only when
+a spec has motion, by the first shifted frame.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .metrics import CEMask
 from .tensor import VolumeSequence
@@ -201,6 +201,8 @@ def _render_frame(spec, masks, curve_values, offset_rng, noise_rng) -> np.ndarra
     """Paint one frame, shift it by a motion offset, then add noise."""
     frame = _noiseless_frame(spec, masks, curve_values)
     if spec.motion > 0:
+        from scipy import ndimage  # on first use, so importing the package skips it
+
         offset = offset_rng.uniform(-spec.motion, spec.motion, size=len(spec.grid))
         frame = ndimage.shift(frame, offset, order=1, mode="nearest")
     return _add_noise(frame, noise_rng, spec.noise_sigma, spec.rician)

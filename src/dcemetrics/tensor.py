@@ -11,6 +11,9 @@ The Gaussian window is separable, so the moment maps are taken with one
 1D pass per axis over all five maps at once.  All verification
 arithmetic is float64; 32-bit data read from files is widened on entry.
 
+``scipy.ndimage`` (about 0.4 s to import) is loaded by the first
+``windowed_moments`` call, not by importing this module.
+
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
     and batches of them (B, C, Z, Y, X), with spatial axes dropped for
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 PADDING_MODES = ("zero", "reflect", "valid")
 
@@ -277,11 +279,11 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     """Weighted first and second moments of (x, y) at every window position.
 
     Only fully interior positions are kept.  The maps x, y, x^2, y^2 and xy
-    are stacked and correlated with the window's taps one axis at a time,
-    cropping to the valid region after each pass.  Variances use the
-    weighted E[v^2] - E[v]^2 form and are clamped at zero to absorb
-    catastrophic cancellation on near-constant regions; the covariance is
-    left unclamped.
+    are written into one buffer and correlated with the window's taps one
+    axis at a time, cropping to the valid region after each pass.
+    Variances use the weighted E[v^2] - E[v]^2 form and are clamped at zero
+    to absorb catastrophic cancellation on near-constant regions; the
+    covariance is left unclamped.
     """
     xa = as_f64(x, "x")
     ya = as_f64(y, "y")
@@ -291,7 +293,14 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
         raise ValueError(f"window rank {len(window.sizes)} does not match image rank {xa.ndim}")
     if any(ws > s for ws, s in zip(window.sizes, xa.shape)):
         raise ValueError(f"window {window.sizes} is larger than image {xa.shape}")
-    sums = np.stack([xa, ya, xa * xa, ya * ya, xa * ya])
+    from scipy import ndimage  # on first use, so importing the package skips it
+
+    sums = np.empty((5,) + xa.shape)
+    sums[0] = xa
+    sums[1] = ya
+    np.multiply(xa, xa, out=sums[2])
+    np.multiply(ya, ya, out=sums[3])
+    np.multiply(xa, ya, out=sums[4])
     for axis, taps in enumerate(window.taps, start=1):
         sums = ndimage.correlate1d(sums, taps, axis=axis, mode="constant")
         half = taps.size // 2
