@@ -214,6 +214,24 @@ class TestMetrics:
         assert "data_range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rise", [0.0, 90.0], ids=["no-ce", "all-ce"])
+    def test_degenerate_masks_exit_0(self, tmp_path, rise):
+        rng = np.random.default_rng(12)
+        frames = np.full((5, 24, 24), 60.0) + rng.normal(0, 2.0, (5, 24, 24))
+        frames[1:] += rise
+        paths = {}
+        for name, arr in [("seq", frames), ("content", frames[0]), ("style", frames[-1]),
+                          ("generated", frames[-1] + rng.normal(0, 2.0, (24, 24)))]:
+            paths[name] = tmp_path / f"{name}.raw"
+            write_tensor(paths[name], arr, axis_order="TYX" if name == "seq" else None)
+        out = tmp_path / "r.json"
+        argv = ["metrics", "--out", str(out)]
+        for name in ("generated", "content", "style", "seq"):
+            argv += [f"--{name}", str(paths[name])]
+        assert main(argv) == 0
+        note = "no CE voxels" if rise == 0.0 else "every voxel detected as CE"
+        assert any(n.startswith(note) for n in read_report(out)["entries"][0]["notes"])
+
     def test_bad_peak_flag(self, tmp_path, phantom_spec_file):
         _, spec = phantom_spec_file
         paths = self._setup(tmp_path, spec)

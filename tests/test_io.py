@@ -5,6 +5,9 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dcemetrics.io import (
     TensorFileError,
@@ -40,6 +43,18 @@ class TestTensorRoundTrip:
         p = tmp_path / "ints.raw"
         write_tensor(p, t)
         npt.assert_array_equal(read_tensor(p).data, t)
+
+    @settings(derandomize=True, deadline=None)
+    @given(a=arrays(np.float32, array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5),
+                    elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    def test_property_exact_for_f32_representable(self, a, tmp_path_factory):
+        t = a.astype(np.float64)
+        p = tmp_path_factory.mktemp("prop") / "t.raw"
+        write_tensor(p, t)
+        back = read_tensor(p).data
+        assert back.dtype == np.float64 and back.shape == t.shape
+        # bit for bit, so -0.0 and subnormals count too
+        npt.assert_array_equal(back.view(np.uint64), t.view(np.uint64))
 
     def test_sidecar_contents(self, tmp_path):
         p = tmp_path / "seq.raw"

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import dcemetrics.metrics as metrics
 from dcemetrics.metrics import (
+    METRIC_FIELDS,
     MS_SSIM_EXPONENTS,
     EvalParams,
     MetricReport,
@@ -31,6 +35,10 @@ def _image(seed, shape=(32, 32), lo=0.0, hi=255.0):
     return rng.uniform(lo, hi, size=shape)
 
 
+# 2D images and 3D volumes; sides start at 1 so window truncation is drawn often
+_shapes = array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=16)
+
+
 def _gauss_window(sizes, sigma=1.5):
     # built here from first principles so the oracle shares no package code
     w = np.ones(())
@@ -47,6 +55,26 @@ class TestSSIM:
 
     def test_symmetric_with_fixed_range(self):
         x, y = _image(1), _image(2)
+        p = SSIMParams(data_range=255.0)
+        assert ssim(x, y, p) == ssim(y, x, p)
+
+    @settings(derandomize=True, deadline=None)
+    @given(x=arrays(np.float64, _shapes, elements=st.floats(-1.0, 1.0)))
+    def test_property_identity_is_one(self, x):
+        L = float(x.max() - x.min())
+        assume(L >= 0.5)
+        # 1 up to the cancellation in E[x^2] - E[x]^2, which the variance
+        # clamps at zero and the covariance does not: a few ulps of max x^2
+        # against c2 = (0.03 L)^2
+        tol = 16 * np.finfo(np.float64).eps * (np.abs(x).max() / (0.03 * L)) ** 2
+        assert ssim(x, x) == pytest.approx(1.0, abs=tol)
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_symmetric_with_fixed_range(self, data):
+        shape = data.draw(_shapes)
+        x, y = (data.draw(arrays(np.float64, shape, elements=st.floats(0.0, 255.0)))
+                for _ in range(2))
         p = SSIMParams(data_range=255.0)
         assert ssim(x, y, p) == ssim(y, x, p)
 
@@ -385,6 +413,52 @@ class TestEvaluateTriple:
         params = EvalParams(peak=255.0, data_range=255.0)
         report = evaluate_triple(g, frames[0], frames[0] + 1.0, seq, params)
         assert any("uniform" in n for n in report.notes)
+
+    @staticmethod
+    def _uniform_enhancement(rise, shape=(32, 32)):
+        """Every voxel rises by ``rise`` after the baseline frame."""
+        rng = np.random.default_rng(68)
+        frames = np.full((5, *shape), 60.0) + rng.normal(0, 2.0, (5, *shape))
+        frames[1:] += rise
+        generated = frames[-1] + rng.normal(0, 2.0, shape)
+        style = frames[-1] + rng.normal(0, 2.0, shape)
+        return VolumeSequence(frames), generated, frames[0], style
+
+    def test_empty_ce_mask_outcome(self):
+        seq, g, c, s = self._uniform_enhancement(0.0)
+        report = evaluate_triple(g, c, s, seq)
+        assert report.notes == [
+            "no CE voxels detected; content weighting is uniform 1.0",
+            "ms_ssim used 2 of 5 scales",
+        ]
+        assert all(math.isfinite(getattr(report, f)) for f in METRIC_FIELDS)
+        # uniform 1.0 weights and the shared range leave the images untouched
+        assert report.cw_ssim_content == report.ssim_content_vs_gen
+
+    def test_all_ce_mask_outcome(self):
+        seq, g, c, s = self._uniform_enhancement(90.0)
+        report = evaluate_triple(g, c, s, seq)
+        assert report.notes == [
+            "every voxel detected as CE; content weighting is uniform 0.1",
+            "ms_ssim used 2 of 5 scales",
+        ]
+        assert all(math.isfinite(getattr(report, f)) for f in METRIC_FIELDS)
+        # the inverted map is 1.1 - 0.1 == 1.0 everywhere
+        L = float(c.max() - c.min())
+        assert report.cw_ssim_style == ssim(g, s, SSIMParams(data_range=L))
+
+    def test_scoring_layers_looked_up_at_call_time(self, monkeypatch):
+        # the benchmark's tracer replaces these module globals to time them
+        seq, g, c, s = self._sequence_and_triple(69)
+        calls = []
+        for name in ("distance_transform", "windowed_moments"):
+            fn = getattr(metrics, name)
+            monkeypatch.setattr(
+                metrics, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
+            )
+        evaluate_triple(g, c, s, seq, EvalParams())
+        assert calls.count("distance_transform") == 1
+        assert calls.count("windowed_moments") == ms_ssim_scale_count(c.shape) + 2
 
     def test_ce_to_nce_direction_recorded(self):
         seq, g, c, s = self._sequence_and_triple(64)
