@@ -16,8 +16,9 @@ Pipeline for one (generated, content, style) triple:
 
 Distances come from scipy's exact Euclidean distance transform, so
 weightings are reproducible down to the last bit across runs.
-``scipy.ndimage`` is loaded by the first ``distance_transform`` or
-``windowed_moments`` call, not by importing this module.
+``scipy.ndimage`` is loaded by the first ``distance_transform`` call, not
+by importing this module; the SSIM family (``windowed_moments``) never
+loads it.
 """
 
 from __future__ import annotations
@@ -297,6 +298,10 @@ def _ssim_scales(x, y, params: SSIMParams, data_range: float, n_scales: int):
     window = GaussianWindow.for_shape(x.shape, params.window_size, params.sigma)
     c1 = (params.k1 * data_range) ** 2
     c2 = (params.k2 * data_range) ** 2
+    if (params.k1 and not c1) or (params.k2 and not c2):
+        # a zero constant turns every flat window into 0 / 0
+        raise ValueError(f"data_range {data_range!r} is too small: the SSIM stabilizing "
+                         f"constants (k * data_range)^2 underflow to 0")
     pairs = []
     for scale in range(n_scales):
         if scale:

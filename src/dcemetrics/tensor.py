@@ -7,12 +7,10 @@ cross-correlation is kn2row: one matrix product per kernel tap against
 the flattened, padded input shifted by that tap's offset, summed into one
 accumulator, so no window of the input is ever copied; channel groups
 and an optional leading batch axis are broadcast axes of those products.
-The Gaussian window is separable, so the moment maps are taken with one
-1D pass per axis over all five maps at once.  All verification
-arithmetic is float64; 32-bit data read from files is widened on entry.
-
-``scipy.ndimage`` (about 0.4 s to import) is loaded by the first
-``windowed_moments`` call, not by importing this module.
+The Gaussian window is separable, so the moment maps are taken one axis
+at a time over all five maps at once, each pass a few matrix products
+with a banded matrix of the axis's taps.  All verification arithmetic is
+float64; 32-bit data read from files is widened on entry.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
@@ -25,12 +23,17 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 PADDING_MODES = ("zero", "reflect", "valid")
+
+#: Most valid outputs per band block in ``windowed_moments``: each output
+#: then costs at most this many plus taps - 1 multiply-adds, whatever the
+#: axis length, where one dense band would cost the axis length.
+_BAND_BLOCK = 64
 
 
 def as_f64(x, name: str = "input") -> np.ndarray:
@@ -153,7 +156,8 @@ class GaussianWindow:
 
     sizes: tuple[int, ...]
     sigma: float
-    taps: tuple[np.ndarray, ...]
+    # derived from sizes and sigma, so equality and hashing leave the arrays out
+    taps: tuple[np.ndarray, ...] = field(compare=False)
 
     @classmethod
     def create(cls, sizes, sigma: float = 1.5) -> "GaussianWindow":
@@ -275,12 +279,47 @@ def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
     return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in out_sp[1:])])
 
 
+def _band_correlate(s: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Valid-only correlation of ``s`` with ``taps`` along ``axis``.
+
+    The n - k + 1 valid outputs are split into equal blocks of at most
+    ``_BAND_BLOCK``; one (B, B + k - 1) band matrix of the taps maps each
+    block's B + k - 1 input rows to its B outputs, the last block sliding
+    back to end at the last output.  The axes before ``axis`` are merged
+    into the products' batch axis (their rows, on the last axis) and the
+    axes after it into their columns, as views of a contiguous ``s``.
+    """
+    k = taps.size
+    n = s.shape[axis]
+    n_out = n - k + 1
+    n_blocks = -(-n_out // _BAND_BLOCK)
+    block = -(-n_out // n_blocks)
+    width = block + k - 1
+    rows = np.arange(block)[:, np.newaxis]
+    band = np.zeros((block, width))
+    band[rows, rows + np.arange(k)] = taps
+    starts = [min(lo, n_out - block) for lo in range(0, n_out, block)]
+    lead, rest = s.shape[:axis], s.shape[axis + 1 :]
+    if rest:  # band @ (axis rows, merged trailing axes), batched over the leading axes
+        flat = s.reshape(-1, n, int(np.prod(rest)))
+        out = np.empty((flat.shape[0], n_out, flat.shape[2]))
+        for lo in starts:
+            np.matmul(band, flat[:, lo : lo + width], out=out[:, lo : lo + block])
+    else:  # the last axis: (merged leading axes, axis) @ band.T
+        flat = s.reshape(-1, n)
+        out = np.empty((flat.shape[0], n_out))
+        for lo in starts:
+            np.matmul(flat[:, lo : lo + width], band.T, out=out[:, lo : lo + block])
+    return out.reshape(lead + (n_out,) + rest)
+
+
 def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     """Weighted first and second moments of (x, y) at every window position.
 
     Only fully interior positions are kept.  The maps x, y, x^2, y^2 and xy
     are written into one buffer and correlated with the window's taps one
-    axis at a time, cropping to the valid region after each pass.
+    axis at a time, each pass producing only valid positions through
+    blocked band-matrix products (``_band_correlate``).
     Variances use the weighted E[v^2] - E[v]^2 form and are clamped at zero
     to absorb catastrophic cancellation on near-constant regions; the
     covariance is left unclamped.
@@ -293,8 +332,6 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
         raise ValueError(f"window rank {len(window.sizes)} does not match image rank {xa.ndim}")
     if any(ws > s for ws, s in zip(window.sizes, xa.shape)):
         raise ValueError(f"window {window.sizes} is larger than image {xa.shape}")
-    from scipy import ndimage  # on first use, so importing the package skips it
-
     sums = np.empty((5,) + xa.shape)
     sums[0] = xa
     sums[1] = ya
@@ -302,10 +339,7 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     np.multiply(ya, ya, out=sums[3])
     np.multiply(xa, ya, out=sums[4])
     for axis, taps in enumerate(window.taps, start=1):
-        sums = ndimage.correlate1d(sums, taps, axis=axis, mode="constant")
-        half = taps.size // 2
-        valid = slice(half, sums.shape[axis] - half)
-        sums = sums[(slice(None),) * axis + (valid,)]
+        sums = _band_correlate(sums, taps, axis)
     mu_x, mu_y, e_xx, e_yy, e_xy = sums
     var_x = np.maximum(e_xx - mu_x * mu_x, 0.0)
     var_y = np.maximum(e_yy - mu_y * mu_y, 0.0)

@@ -1,8 +1,9 @@
 """scipy.ndimage loads on first use, not with the package.
 
 Importing ``scipy.ndimage`` costs about 0.4 s, more than the rest of the
-package import, so only the three routines that call it import it.  Each
-check runs in a fresh interpreter: this test process loaded scipy long ago.
+package import, so only the two routines that call it import it: the
+distance transform and the phantom's motion shift.  Each check runs in a
+fresh interpreter: this test process loaded scipy long ago.
 """
 
 import json
@@ -35,11 +36,23 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
+# the SSIM family on two arrays, whose windowed moments are matrix products
+SCORE_PROBE = """
+import json, sys
+import numpy as np
+from dcemetrics.metrics import ms_ssim, ssim
+rng = np.random.default_rng(3)
+x, y = rng.uniform(0, 255, (2, 64, 64))
+ssim(x, y)
+ms_ssim(x, y)
+print(json.dumps(["scipy.ndimage" in sys.modules]))
+"""
 
-def _probe(*commands) -> list:
+
+def _probe(*commands, code=PROBE) -> list:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", code, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -80,6 +93,10 @@ def _triple_files(tmp_path) -> dict:
 
 def test_package_import_leaves_ndimage_unloaded():
     assert _probe() == [False, False]
+
+
+def test_ssim_and_ms_ssim_leave_ndimage_unloaded():
+    assert _probe(code=SCORE_PROBE) == [False]
 
 
 def test_commands_that_never_call_ndimage_leave_it_unloaded(tmp_path):

@@ -115,6 +115,18 @@ class TestSSIM:
         with pytest.raises(ValueError, match="data_range"):
             ssim(np.full((16, 16), 5.0), _image(5, (16, 16)))
 
+    def test_underflowing_range_rejected(self):
+        # c1 = (0.01 L)^2 and c2 = (0.03 L)^2 underflow to 0 at L = 1e-200, so
+        # flat windows would score 0 / 0
+        x = np.zeros((16, 16))
+        x[3, 4] = 1e-200
+        with pytest.raises(ValueError, match="data_range"):
+            ssim(x, x)
+        with pytest.raises(ValueError, match="data_range"):
+            ms_ssim(x, x)
+        # a positive range whose constants stay nonzero still scores
+        assert ssim(x, x, SSIMParams(data_range=1e-150)) == 1.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ssim(_image(0, (16, 16)), _image(0, (16, 17)))
@@ -373,6 +385,17 @@ class TestEvaluateTriple:
         style = np.full_like(s, 3.0) if constant_style else s
         with pytest.raises(ValueError, match="data_range"):
             evaluate_triple(g, np.full_like(c, 7.0), style, seq, EvalParams())
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_underflowing_range_rejected(self, explicit):
+        seq, g, c, s = self._sequence_and_triple(69)
+        if explicit:
+            params = EvalParams(data_range=1e-200)
+        else:
+            c, params = np.zeros_like(c), EvalParams()
+            c[3, 4] = 1e-200
+        with pytest.raises(ValueError, match="data_range"):
+            evaluate_triple(g, c, s, seq, params)
 
     def test_physical_spacing_weights_cw_ssim(self):
         seq, g, c, s = self._sequence_and_triple(70)

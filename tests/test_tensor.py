@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcemetrics.tensor import (
     GaussianWindow,
@@ -222,6 +224,15 @@ class TestGaussianWindow:
         w = GaussianWindow.for_shape((64, 8, 5), size=11)
         assert w.sizes == (11, 7, 5)
 
+    def test_equal_windows_compare_and_hash_alike(self):
+        w = GaussianWindow.for_shape((64, 8, 5))
+        same = GaussianWindow.create(w.sizes)
+        assert w == same
+        assert hash(w) == hash(same)
+        assert len({w, same}) == 1
+        assert w != GaussianWindow.create(w.sizes, sigma=2.0)
+        assert w != GaussianWindow.create((11, 7, 3))
+
 
 class TestWindowedMoments:
     def test_constant_image(self):
@@ -254,6 +265,40 @@ class TestWindowedMoments:
             assert m.var_y[pos] == pytest.approx(var_y, abs=1e-10)
             assert m.cov_xy[pos] == pytest.approx(cov, abs=1e-10)
 
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_naive_sliding_window(self, data):
+        # one axis up to 150 long, so one-block, multi-block and slid-back
+        # last blocks all occur along it; windows truncated on any axis
+        rank = data.draw(st.integers(1, 3))
+        sizes = tuple(data.draw(st.sampled_from([1, 3, 5, 7, 9, 11])) for _ in range(rank))
+        long_axis = data.draw(st.integers(0, rank - 1))
+        shape = tuple(
+            data.draw(st.integers(ws, 150 if axis == long_axis else ws + 12))
+            for axis, ws in enumerate(sizes)
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.uniform(0, 10, size=shape)
+        y = rng.uniform(0, 10, size=shape)
+        w = GaussianWindow.create(sizes, 1.5)
+        m = windowed_moments(x, y, w)
+        out_shape = tuple(n - ws + 1 for n, ws in zip(shape, sizes))
+        assert m.mu_x.shape == out_shape
+        weights = np.ones(())
+        for taps in w.taps:
+            weights = np.multiply.outer(weights, taps)
+        # every position on each axis-parallel line through one drawn anchor
+        anchor = tuple(data.draw(st.integers(0, n - 1)) for n in out_shape)
+        for axis, n in enumerate(out_shape):
+            for i in range(n):
+                pos = anchor[:axis] + (i,) + anchor[axis + 1 :]
+                mu_x, mu_y, var_x, var_y, cov = naive_window_moments(x, y, weights, pos)
+                assert m.mu_x[pos] == pytest.approx(mu_x, abs=1e-12)
+                assert m.mu_y[pos] == pytest.approx(mu_y, abs=1e-12)
+                assert m.var_x[pos] == pytest.approx(var_x, abs=1e-10)
+                assert m.var_y[pos] == pytest.approx(var_y, abs=1e-10)
+                assert m.cov_xy[pos] == pytest.approx(cov, abs=1e-10)
+
     def test_variance_nonneg_and_cauchy_schwarz(self):
         rng = np.random.default_rng(41)
         w = GaussianWindow.create((5, 5), 1.5)
@@ -280,7 +325,7 @@ class TestWindowedMoments:
         with pytest.raises(ValueError, match="rank"):
             windowed_moments(np.zeros((5, 5, 5)), np.zeros((5, 5, 5)), w)
 
-    @pytest.mark.parametrize("shape", [(16, 48, 48), (32, 48, 48)])
+    @pytest.mark.parametrize("shape", [(16, 48, 48), (32, 48, 48), (256, 256)])
     def test_peak_memory_linear_in_voxels(self, shape):
         # bound: 16 float64 values per input voxel, whatever the window size
         rng = np.random.default_rng(53)
