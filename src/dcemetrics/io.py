@@ -175,12 +175,14 @@ def read_pgm(path) -> np.ndarray:
 
     n = width * height
     if magic == b"P2":
-        values = []
-        for tok, _ in tokens:
-            values.append(int(tok))
-        if len(values) != n:
-            raise TensorFileError(f"{path}: expected {n} samples, found {len(values)}")
-        arr = np.asarray(values, dtype=np.float64)
+        samples = [tok for tok, _ in tokens]
+        bad = next((tok for tok in samples if not tok.isdigit()), None)
+        if bad is not None:
+            raise TensorFileError(f"{path}: PGM sample {bad.decode(errors='replace')!r} "
+                                  f"is not a non-negative integer")
+        if len(samples) != n:
+            raise TensorFileError(f"{path}: expected {n} samples, found {len(samples)}")
+        arr = np.asarray([int(tok) for tok in samples], dtype=np.float64)
     else:
         raster = buf[header_end + 1 :]  # single whitespace after maxval
         dtype = ">u2" if maxval > 255 else "u1"

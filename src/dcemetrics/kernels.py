@@ -29,15 +29,12 @@ extractor as (spatial...) and are lifted to a single channel.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .tensor import as_f64, conv
-
-logger = logging.getLogger(__name__)
+from .tensor import as_f64, as_f64_pair, conv
 
 LOSS_IDS = ("l1", "adv_mse", "feature", "style_frob")
 
@@ -46,14 +43,6 @@ def _check_feature_map(x: np.ndarray, name: str) -> np.ndarray:
     if x.ndim < 2:
         raise ValueError(f"{name} must be shaped (C, spatial...), got {x.shape}")
     return x
-
-
-def _same_shape(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
-    xa = as_f64(a, name_a)
-    xb = as_f64(b, name_b)
-    if xa.shape != xb.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {xb.shape}")
-    return xa, xb
 
 
 def _spatial_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -535,13 +524,13 @@ def _grams(f: np.ndarray, normalize: bool) -> np.ndarray:
 
 def loss_l1(a, b) -> float:
     """Mean absolute difference."""
-    xa, xb = _same_shape(a, b, "a", "b")
+    xa, xb = as_f64_pair(a, b, "a", "b")
     return float(np.abs(xa - xb).mean())
 
 
 def grad_loss_l1(a, b) -> np.ndarray:
     """d(mean |a - b|)/da; the subgradient at exact ties is taken as 0."""
-    xa, xb = _same_shape(a, b, "a", "b")
+    xa, xb = as_f64_pair(a, b, "a", "b")
     return np.sign(xa - xb) / xa.size
 
 
@@ -573,7 +562,7 @@ def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
 
     (1/f) * ||P(g) - P(x)||^2 with f the feature element count.
     """
-    ga, xa = _same_shape(g, x, "g", "x")
+    ga, xa = as_f64_pair(g, x, "g", "x")
     return float(_feature_distance(extractor.features(ga)[np.newaxis], extractor.features(xa))[0])
 
 
@@ -593,7 +582,7 @@ def _style_distance(fg: np.ndarray, gram_y: np.ndarray, normalize_gram: bool) ->
 
 def loss_style_frob(g, y, extractor: FixedFeatureExtractor, normalize_gram: bool = True) -> float:
     """Squared Frobenius distance between feature Gram matrices."""
-    ga, ya = _same_shape(g, y, "g", "y")
+    ga, ya = as_f64_pair(g, y, "g", "y")
     gram_y = gram_matrix(extractor.features(ya), normalize_gram)
     return float(_style_distance(extractor.features(ga)[np.newaxis], gram_y, normalize_gram)[0])
 
@@ -686,7 +675,7 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
     the extractor as one batch.
     """
     if loss_id == "l1":
-        a, b = _same_shape(*inputs, "a", "b")
+        a, b = as_f64_pair(*inputs, "a", "b")
         return (
             lambda p: np.abs(p - b).reshape(len(p), -1).mean(axis=1)
         ), grad_loss_l1(a, b)
@@ -698,13 +687,13 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
         ), grad_loss_adv_mse(scores, target)
     if loss_id == "feature":
         g, x, extractor = inputs
-        fx = extractor.features(_same_shape(g, x, "g", "x")[1])
+        fx = extractor.features(as_f64_pair(g, x, "g", "x")[1])
         return (
             lambda p: _feature_distance(extractor.features(_probe_batch(p, fx)), fx)
         ), grad_loss_feature(g, x, extractor)
     if loss_id == "style_frob":
         g, y, extractor = inputs
-        fy = extractor.features(_same_shape(g, y, "g", "y")[1])
+        fy = extractor.features(as_f64_pair(g, y, "g", "y")[1])
         gram_y = gram_matrix(fy)
         return (
             lambda p: _style_distance(

@@ -26,20 +26,26 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import GaussianWindow, VolumeSequence, as_f64, windowed_moments
+from .tensor import (WINDOW_SIZE, GaussianWindow, VolumeSequence, as_f64, as_f64_pair,
+                     windowed_moments)
 
 logger = logging.getLogger(__name__)
 
-#: Per-scale exponents of the standard 5-scale multi-scale SSIM, rescaled
-#: to sum to exactly 1 so the weight vector stays a convex combination.
+#: SSIM stabilizing constants c = (K * data_range)^2 of Wang et al. 2004.
+_K1, _K2 = 0.01, 0.03
+
+#: Per-scale exponents of the standard 5-scale multi-scale SSIM (Wang,
+#: Simoncelli and Bovik 2003), rescaled to sum to exactly 1 so the weight
+#: vector stays a convex combination.
 _MS_BASE_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 MS_SSIM_EXPONENTS = tuple(w / sum(_MS_BASE_EXPONENTS) for w in _MS_BASE_EXPONENTS)
 
 DIRECTIONS = ("nce_to_ce", "ce_to_nce")
+SLICE_MODES = ("3d", "2d")
 
 #: The five scores of a ``MetricReport``, in report and print order.
 METRIC_FIELDS = (
@@ -59,16 +65,14 @@ class WeightingModeWarning(UserWarning):
 class SSIMParams:
     """Settings shared by the SSIM family.
 
-    ``data_range`` of None derives the dynamic range from the first
-    (reference) argument as max - min of the unweighted image.  With
-    ``per_slice`` set, volumes are scored slice by slice along the leading
-    spatial axis and averaged, instead of using a 3D window.
+    The window (11 Gaussian taps per axis, sigma 1.5, truncated on short
+    axes) and the constants K1 = 0.01, K2 = 0.03 are fixed.  ``data_range``
+    of None derives the dynamic range from the first (reference) argument
+    as max - min of the unweighted image.  With ``per_slice`` set, volumes
+    are scored slice by slice along the leading spatial axis and averaged,
+    instead of using a 3D window.
     """
 
-    window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
     data_range: float | None = None
     per_slice: bool = False
 
@@ -77,13 +81,14 @@ class SSIMParams:
 class MSSSIMParams(SSIMParams):
     """Multi-scale settings; scales are halved dyadically by mean pooling.
 
+    ``scales`` (1-5) picks the first entries of ``MS_SSIM_EXPONENTS``.
     When ``allow_scale_reduction`` is set (the default) the scale count
     drops to whatever the image can support; the exponents are then
-    renormalized over the surviving scales.
+    renormalized over the surviving scales.  Unset, a smaller image is an
+    error.
     """
 
     scales: int = 5
-    scale_exponents: tuple[float, ...] = MS_SSIM_EXPONENTS
     allow_scale_reduction: bool = True
 
 
@@ -148,8 +153,11 @@ class MetricReport:
 class EvalParams:
     """Knobs for evaluating one triple end to end.
 
-    ``ms_ssim`` configures every SSIM-family score; its ``data_range`` and
-    ``per_slice`` must stay unset, as ``data_range`` and ``slice_mode`` own them.
+    ``slice_mode`` is "3d" (3D windows) or "2d" (volumes scored slice by
+    slice); ``data_range`` sets the range shared by every SSIM-family
+    score.  ``ms_ssim`` sets only MS-SSIM's ``scales`` and
+    ``allow_scale_reduction``; its ``data_range`` and ``per_slice`` must
+    stay unset, as ``data_range`` and ``slice_mode`` own them.
     """
 
     threshold: float = 20.0
@@ -261,14 +269,6 @@ def invert_map(dm: DistanceMap) -> DistanceMap:
     return DistanceMap(1.1 - dm.weights, True, dm.spacing_mode, dm.distances)
 
 
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa = as_f64(x, "x")
-    ya = as_f64(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    return xa, ya
-
-
 def _resolve_range(reference: np.ndarray, data_range) -> float:
     if data_range is None:
         data_range = float(reference.max() - reference.min())
@@ -289,93 +289,81 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ssim_scales(x, y, params: SSIMParams, data_range: float, n_scales: int):
-    """(mean SSIM, mean contrast-structure) at each of ``n_scales`` dyadic scales.
+def _ssim_family(xa, ya, data_range: float, per_slice: bool,
+                 n_scales: int) -> tuple[float, float]:
+    """(SSIM, MS-SSIM) of a checked pair over ``n_scales`` dyadic scales.
 
-    One window serves every scale: each scale ``ms_ssim_scale_count`` admits
-    still holds the full-resolution window on every axis.
+    SSIM is MS-SSIM's first-scale term.  With ``per_slice`` a volume is
+    scored slice by slice along its leading axis and both scores averaged.
+    One window serves every scale: each scale ``ms_ssim_scale_count``
+    admits still holds the full-resolution window on every axis.
     """
-    window = GaussianWindow.for_shape(x.shape, params.window_size, params.sigma)
-    c1 = (params.k1 * data_range) ** 2
-    c2 = (params.k2 * data_range) ** 2
-    if (params.k1 and not c1) or (params.k2 and not c2):
-        # a zero constant turns every flat window into 0 / 0
+    c1 = (_K1 * data_range) ** 2
+    c2 = (_K2 * data_range) ** 2
+    if not c1:  # c1 <= c2; a zero constant turns every flat window into 0 / 0
         raise ValueError(f"data_range {data_range!r} is too small: the SSIM stabilizing "
                          f"constants (k * data_range)^2 underflow to 0")
-    pairs = []
-    for scale in range(n_scales):
-        if scale:
-            x, y = _downsample2(x), _downsample2(y)
-        m = windowed_moments(x, y, window)
-        lum = (2.0 * m.mu_x * m.mu_y + c1) / (m.mu_x**2 + m.mu_y**2 + c1)
-        cs = (2.0 * m.cov_xy + c2) / (m.var_x + m.var_y + c2)
-        pairs.append((float((lum * cs).mean()), float(cs.mean())))
-    return pairs
-
-
-def _slice_pairs(xa, ya, params: SSIMParams) -> list:
-    """The (x, y) pairs scored and averaged: slices of a volume, or the whole."""
-    return list(zip(xa, ya)) if params.per_slice and xa.ndim == 3 else [(xa, ya)]
+    pairs = list(zip(xa, ya)) if per_slice and xa.ndim == 3 else [(xa, ya)]
+    window = GaussianWindow.for_shape(pairs[0][0].shape)
+    trimmed = MS_SSIM_EXPONENTS[:n_scales]
+    exponents = [w / sum(trimmed) for w in trimmed]
+    ssims, ms_ssims = [], []
+    for x, y in pairs:
+        per_scale = []  # (mean SSIM, mean contrast-structure) at each scale
+        for scale in range(n_scales):
+            if scale:
+                x, y = _downsample2(x), _downsample2(y)
+            m = windowed_moments(x, y, window)
+            lum = (2.0 * m.mu_x * m.mu_y + c1) / (m.mu_x**2 + m.mu_y**2 + c1)
+            cs = (2.0 * m.cov_xy + c2) / (m.var_x + m.var_y + c2)
+            per_scale.append((float((lum * cs).mean()), float(cs.mean())))
+        terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
+        ssims.append(per_scale[0][0])
+        ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))
+    return float(np.mean(ssims)), float(np.mean(ms_ssims))
 
 
 def ssim(x, y, params: SSIMParams | None = None) -> float:
     """Mean structural similarity between two images or volumes.
 
-    The Gaussian window (11 taps, sigma 1.5 by default) is truncated per
-    axis for small images or thin volumes; only fully interior window
-    positions contribute.  The first argument acts as the reference when
-    the dynamic range is derived automatically.
+    The Gaussian window (11 taps, sigma 1.5) is truncated per axis for
+    small images or thin volumes; only fully interior window positions
+    contribute.  The first argument acts as the reference when the dynamic
+    range is derived automatically.
     """
     params = params or SSIMParams()
-    xa, ya = _check_pair(x, y)
+    xa, ya = as_f64_pair(x, y)
     data_range = _resolve_range(xa, params.data_range)
-    return float(np.mean([_ssim_scales(xs, ys, params, data_range, 1)[0][0]
-                          for xs, ys in _slice_pairs(xa, ya, params)]))
+    return _ssim_family(xa, ya, data_range, params.per_slice, 1)[0]
 
 
 def ms_ssim_scale_count(shape, params: MSSSIMParams | None = None) -> int:
-    """Number of dyadic scales the image supports, capped at params.scales.
+    """Number of dyadic scales MS-SSIM uses on images of ``shape``.
 
     A scale is usable while every axis still holds the window it had at
     full resolution (truncated per axis for thin volumes), so thin-axis
-    inputs fall back to a single scale rather than failing.
+    inputs fall back to fewer scales, down to one, rather than failing.
+    The count is capped at ``params.scales``; a reduction is logged, or
+    raises when ``allow_scale_reduction`` is unset.
     """
     params = params or MSSSIMParams()
-    win = GaussianWindow.for_shape(shape, params.window_size, params.sigma).sizes
+    if not 1 <= params.scales <= len(MS_SSIM_EXPONENTS):
+        raise ValueError(f"scales must lie in 1..{len(MS_SSIM_EXPONENTS)} (one "
+                         f"exponent each), got {params.scales}")
+    win = GaussianWindow.for_shape(shape).sizes
     dims = list(shape)
     usable = 0
     while usable < params.scales and all(d >= w for d, w in zip(dims, win)):
         usable += 1
         dims = [d // 2 for d in dims]
-    return usable
-
-
-def _ssim_and_ms_ssim(xa, ya, params: MSSSIMParams) -> tuple[float, float]:
-    """SSIM and MS-SSIM of a checked pair; SSIM is MS-SSIM's first-scale term."""
-    data_range = _resolve_range(xa, params.data_range)
-    pairs = _slice_pairs(xa, ya, params)
-    shape = pairs[0][0].shape
-    usable = ms_ssim_scale_count(shape, params)
     if usable < params.scales:
         if not params.allow_scale_reduction:
-            need = params.window_size * 2 ** (params.scales - 1)
-            raise ValueError(f"image {shape} too small for {params.scales} scales; needs at "
-                             f"least {need} per spatial axis (window {params.window_size})")
+            need = WINDOW_SIZE * 2 ** (params.scales - 1)
+            raise ValueError(f"image {shape} too small for {params.scales} scales; "
+                             f"needs at least {need} per spatial axis (window {WINDOW_SIZE})")
         logger.info("ms_ssim: reduced to %d of %d scales for shape %s",
                     usable, params.scales, shape)
-    if not 1 <= params.scales <= len(params.scale_exponents):
-        raise ValueError(f"scales must lie in 1..{len(params.scale_exponents)} (one "
-                         f"exponent each), got {params.scales}")
-    trimmed = params.scale_exponents[:usable]
-    exponents = [w / sum(trimmed) for w in trimmed]
-
-    ssims, ms_ssims = [], []
-    for xs, ys in pairs:
-        per_scale = _ssim_scales(xs, ys, params, data_range, usable)
-        terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
-        ssims.append(per_scale[0][0])
-        ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))
-    return float(np.mean(ssims)), float(np.mean(ms_ssims))
+    return usable
 
 
 def ms_ssim(x, y, params: MSSSIMParams | None = None) -> float:
@@ -385,7 +373,12 @@ def ms_ssim(x, y, params: MSSSIMParams | None = None) -> float:
     coarsest scale are combined as a weighted geometric mean.  Negative
     per-scale terms are clamped at zero before exponentiation.
     """
-    return _ssim_and_ms_ssim(*_check_pair(x, y), params or MSSSIMParams())[1]
+    params = params or MSSSIMParams()
+    xa, ya = as_f64_pair(x, y)
+    data_range = _resolve_range(xa, params.data_range)
+    per_slice = params.per_slice and xa.ndim == 3
+    n_scales = ms_ssim_scale_count(xa.shape[1:] if per_slice else xa.shape, params)
+    return _ssim_family(xa, ya, data_range, per_slice, n_scales)[1]
 
 
 def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
@@ -404,8 +397,8 @@ def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
     if mode not in ("content", "style"):
         raise ValueError(f"unknown mode {mode!r}, expected 'content' or 'style'")
     params = params or SSIMParams()
-    xa, ya = _check_pair(x, y)
-    w = np.asarray(dm.weights, dtype=np.float64)
+    xa, ya = as_f64_pair(x, y)
+    w = as_f64(dm.weights, "distance map weights")
     if w.shape != xa.shape:
         raise ValueError(f"distance map {w.shape} does not match images {xa.shape}")
     expect_inverted = mode == "style"
@@ -417,8 +410,7 @@ def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
             stacklevel=2,
         )
     data_range = _resolve_range(xa, params.data_range)
-    weighted = replace(params, data_range=data_range)
-    return ssim(xa * w, ya * w, weighted)
+    return _ssim_family(xa * w, ya * w, data_range, params.per_slice, 1)[0]
 
 
 def psnr(reference, test, peak: float | None = None) -> float:
@@ -426,7 +418,7 @@ def psnr(reference, test, peak: float | None = None) -> float:
 
     ``peak`` of None uses max - min of the reference.
     """
-    ref, tst = _check_pair(reference, test)
+    ref, tst = as_f64_pair(reference, test, "reference", "test")
     if peak is None:
         peak = float(ref.max() - ref.min())
     if peak <= 0:
@@ -463,6 +455,8 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     params = params or EvalParams()
     if params.direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
+    if params.slice_mode not in SLICE_MODES:
+        raise ValueError(f"slice_mode must be one of {SLICE_MODES}, got {params.slice_mode!r}")
     if params.ms_ssim.data_range is not None:
         raise ValueError("set EvalParams.data_range, not EvalParams.ms_ssim.data_range")
     if params.ms_ssim.per_slice:
@@ -481,8 +475,8 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
             f"match images {gen.shape}"
         )
     per_slice = params.slice_mode == "2d" and gen.ndim == 3
-    sp = replace(params.ms_ssim, data_range=_resolve_range(con, params.data_range),
-                 per_slice=per_slice)
+    sp = SSIMParams(data_range=_resolve_range(con, params.data_range), per_slice=per_slice)
+    used = ms_ssim_scale_count(gen.shape[1:] if per_slice else gen.shape, params.ms_ssim)
 
     notes: list[str] = []
     ce = detect_ce(seq_for_mask, params.baseline_index, params.threshold,
@@ -495,10 +489,9 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
         notes.append("every voxel detected as CE; content weighting is uniform 0.1")
     dm_inv = invert_map(dm)
 
-    used = ms_ssim_scale_count(gen.shape if not per_slice else gen.shape[1:], sp)
-    if used < sp.scales:
-        notes.append(f"ms_ssim used {used} of {sp.scales} scales")
-    ssim_cg, ms_ssim_cg = _ssim_and_ms_ssim(con, gen, sp)
+    if used < params.ms_ssim.scales:
+        notes.append(f"ms_ssim used {used} of {params.ms_ssim.scales} scales")
+    ssim_cg, ms_ssim_cg = _ssim_family(con, gen, sp.data_range, per_slice, used)
 
     return MetricReport(
         psnr_style_vs_gen=psnr(sty, gen, params.peak),

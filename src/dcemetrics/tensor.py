@@ -35,6 +35,10 @@ PADDING_MODES = ("zero", "reflect", "valid")
 #: axis length, where one dense band would cost the axis length.
 _BAND_BLOCK = 64
 
+#: The SSIM window of Wang et al. 2004: 11 Gaussian taps per axis, sigma 1.5.
+WINDOW_SIZE = 11
+WINDOW_SIGMA = 1.5
+
 
 def as_f64(x, name: str = "input") -> np.ndarray:
     """Return ``x`` as a finite float64 ndarray.
@@ -51,6 +55,15 @@ def as_f64(x, name: str = "input") -> np.ndarray:
     return arr
 
 
+def as_f64_pair(a, b, name_a: str = "x", name_b: str = "y") -> tuple[np.ndarray, np.ndarray]:
+    """``as_f64`` of two arrays that must share one shape."""
+    xa = as_f64(a, name_a)
+    xb = as_f64(b, name_b)
+    if xa.shape != xb.shape:
+        raise ValueError(f"shape mismatch: {name_a} {xa.shape} vs {name_b} {xb.shape}")
+    return xa, xb
+
+
 @dataclass
 class TensorND:
     """Row-major dense array of float64 scalars with optional axis tags.
@@ -63,11 +76,7 @@ class TensorND:
     axis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-            raise ValueError(f"tensor data contains a non-finite value at flat offset {bad}")
-        self.data = arr
+        arr = self.data = as_f64(self.data, "tensor data")
         if self.axis_labels is not None:
             labels = tuple(str(a) for a in self.axis_labels)
             if len(labels) != arr.ndim:
@@ -160,7 +169,7 @@ class GaussianWindow:
     taps: tuple[np.ndarray, ...] = field(compare=False)
 
     @classmethod
-    def create(cls, sizes, sigma: float = 1.5) -> "GaussianWindow":
+    def create(cls, sizes, sigma: float = WINDOW_SIGMA) -> "GaussianWindow":
         if np.isscalar(sizes):
             sizes = (int(sizes),)
         sizes = tuple(int(s) for s in sizes)
@@ -173,7 +182,8 @@ class GaussianWindow:
         return cls(sizes, float(sigma), taps)
 
     @classmethod
-    def for_shape(cls, shape, size: int = 11, sigma: float = 1.5) -> "GaussianWindow":
+    def for_shape(cls, shape, size: int = WINDOW_SIZE,
+                  sigma: float = WINDOW_SIGMA) -> "GaussianWindow":
         """Window truncated per axis to the largest odd length that fits."""
         sizes = []
         for n in shape:
@@ -324,10 +334,7 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     to absorb catastrophic cancellation on near-constant regions; the
     covariance is left unclamped.
     """
-    xa = as_f64(x, "x")
-    ya = as_f64(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: x {xa.shape} vs y {ya.shape}")
+    xa, ya = as_f64_pair(x, y)
     if len(window.sizes) != xa.ndim:
         raise ValueError(f"window rank {len(window.sizes)} does not match image rank {xa.ndim}")
     if any(ws > s for ws, s in zip(window.sizes, xa.shape)):

@@ -152,6 +152,31 @@ class TestPGM:
         with pytest.raises(TensorFileError, match="maxval"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("sample", ["-5", "abc", "1_0", "2.5"])
+    def test_ascii_sample_not_a_non_negative_integer(self, tmp_path, sample):
+        p = tmp_path / "n.pgm"
+        p.write_text(f"P2\n2 1\n100\n50 {sample}\n")
+        with pytest.raises(TensorFileError, match=f"n.pgm: PGM sample '{sample}'"):
+            read_pgm(p)
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_8_and_16_bit_round_trip(self, tmp_path_factory, data):
+        maxval = data.draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+        values = data.draw(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, max_side=9),
+                                  elements=st.integers(0, maxval)))
+        h, w = values.shape
+        header = f"{w} {h}\n# drawn fixture\n{maxval}\n"
+        if data.draw(st.booleans(), label="ascii"):
+            body = "\n".join(" ".join(map(str, row)) for row in values)
+            payload = f"P2\n{header}{body}\n".encode()
+        else:
+            payload = f"P5\n{header}".encode() + values.astype(
+                ">u2" if maxval > 255 else "u1").tobytes()
+        p = tmp_path_factory.mktemp("pgm") / "drawn.pgm"
+        p.write_bytes(payload)
+        npt.assert_array_equal(read_pgm(p), values.astype(np.float64))
+
 
 def _entry(seed, direction="nce_to_ce", psnr=None):
     rng = np.random.default_rng(seed)

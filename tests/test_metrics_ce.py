@@ -170,6 +170,19 @@ class TestDistanceMap:
             assert dm.weights.max() <= 1.0 + 1e-15
             npt.assert_allclose(dm.weights[mask], 0.1, atol=1e-15)
 
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_weights_in_range_and_sum_with_inverse(self, data):
+        mask = data.draw(_masks)
+        if data.draw(st.booleans(), label="physical"):
+            spacing = data.draw(st.tuples(*[st.floats(0.25, 4.0) for _ in range(mask.ndim)]))
+            dm = distance_map(mask, spacing, "physical")
+        else:
+            dm = distance_map(mask)
+        assert dm.weights.min() >= 0.1
+        assert dm.weights.max() <= 1.0
+        npt.assert_allclose(dm.weights + invert_map(dm).weights, 1.1, rtol=0, atol=1e-15)
+
     def test_accepts_ce_mask_wrapper(self):
         ce = CEMask(np.array([[True, False]]), 20.0, 0)
         dm = distance_map(ce)

@@ -160,9 +160,7 @@ class TestMSSSIM:
     def test_scale_count_176(self):
         # 176 -> 88 -> 44 -> 22 -> 11 supports all five scales
         assert ms_ssim_scale_count((176, 176), MSSSIMParams()) == 5
-        # 40 -> 20 -> 10 < 11, so three scales with an 11-tap window... 20 >= 11,
-        # 10 < 11 stops it at two full-window scales? windows truncate per axis,
-        # so recompute: truncated window at 40 is 11, usable while dim >= 11.
+        # 40 -> 20 -> 10: the 11-tap window fits at 40 and 20 only, so two scales
         assert ms_ssim_scale_count((40, 40), MSSSIMParams()) == 2
 
     def test_thin_volume_falls_back_to_single_scale(self):
@@ -208,8 +206,11 @@ class TestMSSSIM:
     @pytest.mark.parametrize("scales", [0, 6])
     def test_scale_count_outside_exponents_rejected(self, scales):
         x = _image(44, (64, 64))
-        with pytest.raises(ValueError, match="scales"):
-            ms_ssim(x, x, MSSSIMParams(data_range=255.0, scales=scales))
+        p = MSSSIMParams(data_range=255.0, scales=scales)
+        with pytest.raises(ValueError, match="scales must lie in 1..5"):
+            ms_ssim(x, x, p)
+        with pytest.raises(ValueError, match="scales must lie in 1..5"):
+            ms_ssim_scale_count(x.shape, p)
 
 
 class TestCWSSIM:
@@ -377,6 +378,12 @@ class TestEvaluateTriple:
         with pytest.raises(ValueError, match=f"EvalParams.{owner}"):
             evaluate_triple(g, c, s, seq, params)
 
+    @pytest.mark.parametrize("slice_mode", ["2D", "3D", "slices", ""])
+    def test_unknown_slice_mode_rejected(self, slice_mode):
+        seq, g, c, s = self._sequence_and_triple(68)
+        with pytest.raises(ValueError, match=r"slice_mode must be one of \('3d', '2d'\)"):
+            evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode))
+
     @pytest.mark.parametrize("constant_style", [False, True])
     def test_constant_content_needs_data_range(self, constant_style, monkeypatch):
         seq, g, c, s = self._sequence_and_triple(69)
@@ -482,6 +489,18 @@ class TestEvaluateTriple:
         evaluate_triple(g, c, s, seq, EvalParams())
         assert calls.count("distance_transform") == 1
         assert calls.count("windowed_moments") == ms_ssim_scale_count(c.shape) + 2
+
+    def test_scales_counted_once_and_public_ssim_unused(self, monkeypatch):
+        # the benchmark times metrics.ssim and metrics.cw_ssim as separate layers
+        seq, g, c, s = self._sequence_and_triple(69)
+        monkeypatch.setattr(metrics, "ssim", pytest.fail)
+        counted = []
+        count = metrics.ms_ssim_scale_count
+        monkeypatch.setattr(
+            metrics, "ms_ssim_scale_count", lambda *a: counted.append(a) or count(*a)
+        )
+        evaluate_triple(g, c, s, seq, EvalParams())
+        assert len(counted) == 1
 
     def test_ce_to_nce_direction_recorded(self):
         seq, g, c, s = self._sequence_and_triple(64)
