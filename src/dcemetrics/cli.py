@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from . import __version__
 from .io import (
     TensorFileError,
+    _timestamp,
     canonical_bytes,
     export_csv,
     make_report,
@@ -60,12 +60,6 @@ def _provenance(command: str, seed=None, **parameters) -> dict:
         "seed": seed,
         "parameters": parameters,
     }
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
 
 
 def _load_sequence(path) -> VolumeSequence:
@@ -113,13 +107,13 @@ def _cmd_phantom_gen(args) -> int:
         spacing_mm=spec.spacing_mm,
         provenance=prov,
     )
-    _write_json(
+    write_report(
         out_dir / "truth.json",
         {
             "spec": spec.to_dict(),
             "truth_curves": out.truth_curves.tolist(),
             "provenance": prov,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "generated_at": _timestamp(),
         },
     )
     print(f"wrote sequence.raw, truth_mask.raw, truth.json to {out_dir}")
@@ -218,10 +212,10 @@ def _cmd_gradcheck(args) -> int:
     payload = {
         "checks": [r.to_dict() for r in reports],
         "provenance": _provenance("gradcheck", seed=args.seed),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "generated_at": _timestamp(),
     }
     if args.out:
-        _write_json(args.out, payload)
+        write_report(args.out, payload)
     for r in reports:
         print(f"{r.loss_id}: max_rel_error={r.max_rel_error:.3e} ok={r.ok}")
     if not all(r.ok for r in reports):

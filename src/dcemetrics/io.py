@@ -1,10 +1,10 @@
-"""Raw tensor files, PGM import, and metric report serialization.
+"""Raw tensor files and JSON report serialization.
 
 Tensors travel as two files: a raw little-endian float32 payload and a
 JSON sidecar at ``<payload path>.json`` carrying dims, axis order, dtype
-tag and optional voxel spacing.  Reports are JSON; their canonical byte
-form excludes the ``generated_at`` timestamp so that identical runs can
-be compared byte for byte.
+tag and optional voxel spacing.  Reports, also the CLI's phantom truth and
+gradcheck files, are JSON; their canonical byte form excludes the
+``generated_at`` timestamp so identical runs compare byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ F32_MAX = float(np.finfo(np.float32).max)
 
 
 class TensorFileError(Exception):
-    """Raised for malformed tensor payloads, sidecars, or PGM files."""
+    """Raised for malformed or missing tensor payloads, sidecars, or reports."""
 
 
 def _sidecar_path(path: str) -> str:
@@ -122,79 +122,6 @@ def read_tensor(path) -> TensorND:
         raise TensorFileError(f"payload contains a non-finite value at flat offset {int(bad[0])}")
     labels = tuple(header["axis_order"])
     return TensorND.from_flat(flat, dims, axis_labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# PGM import
-
-
-def _pgm_tokens(buf: bytes):
-    """Yield (token, end_offset) over a PGM header, skipping # comments."""
-    i = 0
-    while i < len(buf):
-        c = buf[i : i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            while i < len(buf) and buf[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        j = i
-        while j < len(buf) and not buf[j : j + 1].isspace():
-            j += 1
-        yield buf[i:j], j
-        i = j
-
-
-def read_pgm(path) -> np.ndarray:
-    """Load an 8- or 16-bit PGM as float64, sample values cast directly.
-
-    Both the ASCII (P2) and binary (P5) variants are accepted; 16-bit
-    binary samples are big-endian per the format. No rescaling is applied:
-    a stored 512 stays 512.
-    """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    tokens = _pgm_tokens(buf)
-    try:
-        magic, _ = next(tokens)
-        width_tok, _ = next(tokens)
-        height_tok, _ = next(tokens)
-        maxval_tok, header_end = next(tokens)
-    except StopIteration:
-        raise TensorFileError(f"{path}: truncated PGM header")
-    if magic not in (b"P2", b"P5"):
-        raise TensorFileError(f"{path}: not a PGM (magic {magic!r})")
-    try:
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except ValueError:
-        raise TensorFileError(f"{path}: non-numeric PGM header fields")
-    if width < 1 or height < 1 or not (0 < maxval < 65536):
-        raise TensorFileError(f"{path}: bad PGM geometry or maxval")
-
-    n = width * height
-    if magic == b"P2":
-        samples = [tok for tok, _ in tokens]
-        bad = next((tok for tok in samples if not tok.isdigit()), None)
-        if bad is not None:
-            raise TensorFileError(f"{path}: PGM sample {bad.decode(errors='replace')!r} "
-                                  f"is not a non-negative integer")
-        if len(samples) != n:
-            raise TensorFileError(f"{path}: expected {n} samples, found {len(samples)}")
-        arr = np.asarray([int(tok) for tok in samples], dtype=np.float64)
-    else:
-        raster = buf[header_end + 1 :]  # single whitespace after maxval
-        dtype = ">u2" if maxval > 255 else "u1"
-        need = n * (2 if maxval > 255 else 1)
-        if len(raster) < need:
-            raise TensorFileError(
-                f"{path}: raster needs {need} bytes, found {len(raster)}"
-            )
-        arr = np.frombuffer(raster[:need], dtype=dtype).astype(np.float64)
-    if arr.max(initial=0) > maxval:
-        raise TensorFileError(f"{path}: sample exceeds declared maxval {maxval}")
-    return arr.reshape(height, width)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ extractor as (spatial...) and are lifted to a single channel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -598,45 +598,6 @@ def grad_loss_style_frob(
     scale = 4.0 / flat.size if normalize_gram else 4.0
     cotangent = (scale * (delta @ flat)).reshape(fg.shape)
     return vjp(cotangent)
-
-
-@dataclass(frozen=True)
-class LossBundle:
-    """All scalar training losses evaluated for one generated frame."""
-
-    l1_image: float
-    l1_latent: float
-    adv_mse: float
-    feature: float
-    style_frob: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def compute_loss_bundle(
-    generated,
-    original,
-    latent_pred,
-    latent_recon,
-    adv_scores,
-    adv_target: float,
-    style,
-    extractor: FixedFeatureExtractor,
-) -> LossBundle:
-    return LossBundle(
-        l1_image=loss_l1(generated, original),
-        l1_latent=loss_l1(latent_pred, latent_recon),
-        adv_mse=loss_adv_mse(adv_scores, adv_target),
-        feature=loss_feature(generated, original, extractor),
-        style_frob=loss_style_frob(generated, style, extractor),
-    )
 
 
 # ---------------------------------------------------------------------------

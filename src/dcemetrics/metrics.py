@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,9 @@ logger = logging.getLogger(__name__)
 
 #: SSIM stabilizing constants c = (K * data_range)^2 of Wang et al. 2004.
 _K1, _K2 = 0.01, 0.03
+
+#: Every value below this squares to a finite float64.
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(np.float64).max)
 
 #: Per-scale exponents of the standard 5-scale multi-scale SSIM (Wang,
 #: Simoncelli and Bovik 2003), rescaled to sum to exactly 1 so the weight
@@ -271,12 +275,32 @@ def invert_map(dm: DistanceMap) -> DistanceMap:
 
 def _resolve_range(reference: np.ndarray, data_range) -> float:
     if data_range is None:
-        data_range = float(reference.max() - reference.min())
-    if data_range <= 0:
+        data_range = float(reference.max()) - float(reference.min())
+    if not data_range > 0:
         raise ValueError(
             "data_range must be positive; pass it explicitly for constant references"
         )
+    # a zero constant would turn every flat window into 0 / 0; c1 <= c2
+    if not (_K2 * data_range < _SQRT_FLOAT_MAX and (_K1 * data_range) ** 2):
+        raise ValueError(f"data_range {data_range!r} is too small or too large: the SSIM "
+                         f"stabilizing constants (k * data_range)^2 underflow to 0 or "
+                         f"overflow float64")
     return float(data_range)
+
+
+@contextmanager
+def _named_overflow(**inputs):
+    """Raise a float64 overflow in the block as a ValueError naming the largest input."""
+    if np.geterr()["over"] == "raise":  # nested: the enclosing block names its caller's inputs
+        yield
+        return
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        name = max(inputs, key=lambda k: np.abs(inputs[k]).max())
+        raise ValueError(f"{name} is too large to score: float64 overflows on its "
+                         f"values; rescale the inputs") from None
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:
@@ -300,9 +324,6 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool,
     """
     c1 = (_K1 * data_range) ** 2
     c2 = (_K2 * data_range) ** 2
-    if not c1:  # c1 <= c2; a zero constant turns every flat window into 0 / 0
-        raise ValueError(f"data_range {data_range!r} is too small: the SSIM stabilizing "
-                         f"constants (k * data_range)^2 underflow to 0")
     pairs = list(zip(xa, ya)) if per_slice and xa.ndim == 3 else [(xa, ya)]
     window = GaussianWindow.for_shape(pairs[0][0].shape)
     trimmed = MS_SSIM_EXPONENTS[:n_scales]
@@ -334,7 +355,8 @@ def ssim(x, y, params: SSIMParams | None = None) -> float:
     params = params or SSIMParams()
     xa, ya = as_f64_pair(x, y)
     data_range = _resolve_range(xa, params.data_range)
-    return _ssim_family(xa, ya, data_range, params.per_slice, 1)[0]
+    with _named_overflow(x=xa, y=ya):
+        return _ssim_family(xa, ya, data_range, params.per_slice, 1)[0]
 
 
 def ms_ssim_scale_count(shape, params: MSSSIMParams | None = None) -> int:
@@ -378,7 +400,8 @@ def ms_ssim(x, y, params: MSSSIMParams | None = None) -> float:
     data_range = _resolve_range(xa, params.data_range)
     per_slice = params.per_slice and xa.ndim == 3
     n_scales = ms_ssim_scale_count(xa.shape[1:] if per_slice else xa.shape, params)
-    return _ssim_family(xa, ya, data_range, per_slice, n_scales)[1]
+    with _named_overflow(x=xa, y=ya):
+        return _ssim_family(xa, ya, data_range, per_slice, n_scales)[1]
 
 
 def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
@@ -410,7 +433,8 @@ def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
             stacklevel=2,
         )
     data_range = _resolve_range(xa, params.data_range)
-    return _ssim_family(xa * w, ya * w, data_range, params.per_slice, 1)[0]
+    with _named_overflow(x=xa, y=ya):
+        return _ssim_family(xa * w, ya * w, data_range, params.per_slice, 1)[0]
 
 
 def psnr(reference, test, peak: float | None = None) -> float:
@@ -420,10 +444,12 @@ def psnr(reference, test, peak: float | None = None) -> float:
     """
     ref, tst = as_f64_pair(reference, test, "reference", "test")
     if peak is None:
-        peak = float(ref.max() - ref.min())
-    if peak <= 0:
-        raise ValueError("peak must be positive; pass it explicitly for constant references")
-    mse = float(np.mean((ref - tst) ** 2))
+        peak = float(ref.max()) - float(ref.min())
+    if not 0 < peak < _SQRT_FLOAT_MAX:
+        raise ValueError(f"peak {peak!r} must be positive with a finite square; pass it "
+                         f"explicitly for constant references")
+    with _named_overflow(reference=ref, test=tst):
+        mse = float(np.mean((ref - tst) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -491,14 +517,14 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
 
     if used < params.ms_ssim.scales:
         notes.append(f"ms_ssim used {used} of {params.ms_ssim.scales} scales")
-    ssim_cg, ms_ssim_cg = _ssim_family(con, gen, sp.data_range, per_slice, used)
-
-    return MetricReport(
-        psnr_style_vs_gen=psnr(sty, gen, params.peak),
-        ssim_content_vs_gen=ssim_cg,
-        ms_ssim_content_vs_gen=ms_ssim_cg,
-        cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),
-        cw_ssim_style=cw_ssim(gen, sty, dm_inv, sp, mode="style"),
-        direction=params.direction,
-        notes=notes,
-    )
+    with _named_overflow(generated=gen, content=con, style=sty):
+        ssim_cg, ms_ssim_cg = _ssim_family(con, gen, sp.data_range, per_slice, used)
+        return MetricReport(
+            psnr_style_vs_gen=psnr(sty, gen, params.peak),
+            ssim_content_vs_gen=ssim_cg,
+            ms_ssim_content_vs_gen=ms_ssim_cg,
+            cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),
+            cw_ssim_style=cw_ssim(gen, sty, dm_inv, sp, mode="style"),
+            direction=params.direction,
+            notes=notes,
+        )

@@ -148,10 +148,10 @@ class VolumeSequence:
         return self.frames[t]
 
 
-def _gauss_1d(size: int, sigma: float) -> np.ndarray:
+def _gauss_1d(size: int) -> np.ndarray:
     center = (size - 1) / 2.0
     offsets = np.arange(size, dtype=np.float64) - center
-    return np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+    return np.exp(-(offsets**2) / (2.0 * WINDOW_SIGMA * WINDOW_SIGMA))
 
 
 @dataclass(frozen=True)
@@ -159,41 +159,36 @@ class GaussianWindow:
     """Separable Gaussian weighting window, normalized to unit sum.
 
     Sizes are per-axis and must be odd so the window has a center sample.
-    The window is the outer product of the per-axis ``taps``; each tap
-    vector sums to one and is symmetric under reflection by construction.
+    The window is the outer product of the per-axis ``taps``, each
+    ``WINDOW_SIGMA`` wide; each tap vector sums to one and is symmetric
+    under reflection by construction.
     """
 
     sizes: tuple[int, ...]
-    sigma: float
-    # derived from sizes and sigma, so equality and hashing leave the arrays out
+    # derived from sizes, so equality and hashing leave the arrays out
     taps: tuple[np.ndarray, ...] = field(compare=False)
 
     @classmethod
-    def create(cls, sizes, sigma: float = WINDOW_SIGMA) -> "GaussianWindow":
-        if np.isscalar(sizes):
-            sizes = (int(sizes),)
+    def create(cls, sizes) -> "GaussianWindow":
         sizes = tuple(int(s) for s in sizes)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
         for s in sizes:
             if s < 1 or s % 2 == 0:
                 raise ValueError(f"window sizes must be odd and positive, got {sizes}")
-        taps = tuple(g / g.sum() for g in (_gauss_1d(s, sigma) for s in sizes))
-        return cls(sizes, float(sigma), taps)
+        taps = tuple(g / g.sum() for g in (_gauss_1d(s) for s in sizes))
+        return cls(sizes, taps)
 
     @classmethod
-    def for_shape(cls, shape, size: int = WINDOW_SIZE,
-                  sigma: float = WINDOW_SIGMA) -> "GaussianWindow":
-        """Window truncated per axis to the largest odd length that fits."""
+    def for_shape(cls, shape) -> "GaussianWindow":
+        """``WINDOW_SIZE`` window truncated per axis to the largest odd length that fits."""
         sizes = []
         for n in shape:
-            s = min(size, int(n))
+            s = min(WINDOW_SIZE, int(n))
             if s % 2 == 0:
                 s -= 1
             if s < 1:
                 raise ValueError(f"axis of length {n} cannot host a window")
             sizes.append(s)
-        return cls.create(tuple(sizes), sigma)
+        return cls.create(tuple(sizes))
 
 
 class Moments(NamedTuple):

@@ -17,7 +17,6 @@ from dcemetrics.io import (
     make_report,
     merge_reports,
     read_header,
-    read_pgm,
     read_report,
     read_tensor,
     write_report,
@@ -55,6 +54,31 @@ class TestTensorRoundTrip:
         assert back.dtype == np.float64 and back.shape == t.shape
         # bit for bit, so -0.0 and subnormals count too
         npt.assert_array_equal(back.view(np.uint64), t.view(np.uint64))
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_sidecar_round_trip(self, tmp_path_factory, data):
+        dims = data.draw(array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4))
+        axis_order = data.draw(st.text("TZYXC", min_size=len(dims), max_size=len(dims)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        spacing = data.draw(st.none() | st.lists(finite, min_size=len(dims),
+                                                 max_size=len(dims)))
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | finite | st.text(),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(), inner, max_size=3),
+            max_leaves=8,
+        )
+        provenance = data.draw(st.none() | st.dictionaries(st.text(), json_values, max_size=4))
+        p = tmp_path_factory.mktemp("sidecar") / "t.raw"
+        write_tensor(p, np.zeros(dims), axis_order=axis_order, spacing_mm=spacing,
+                     provenance=provenance)
+        header = read_header(p)
+        assert header["dims"] == list(dims)
+        assert header["axis_order"] == axis_order
+        assert header.get("spacing_mm") == spacing
+        assert header.get("provenance") == provenance
+        assert read_tensor(p).axis_labels == tuple(axis_order)
 
     def test_sidecar_contents(self, tmp_path):
         p = tmp_path / "seq.raw"
@@ -102,80 +126,6 @@ class TestTensorRoundTrip:
     def test_axis_order_length_checked(self, tmp_path):
         with pytest.raises(TensorFileError, match="axis_order"):
             write_tensor(tmp_path / "bad.raw", np.zeros((2, 2)), axis_order="ZYX")
-
-
-class TestPGM:
-    def _write_p5(self, path, values, maxval=65535):
-        h, w = values.shape
-        header = f"P5\n# synthetic fixture\n{w} {h}\n{maxval}\n".encode()
-        if maxval > 255:
-            body = values.astype(">u2").tobytes()
-        else:
-            body = values.astype("u1").tobytes()
-        path.write_bytes(header + body)
-
-    def test_16bit_gradient_ramp_direct_cast(self, tmp_path):
-        # 4x4 ramp exercising values far above 8-bit range
-        ramp = np.arange(16, dtype=np.uint16).reshape(4, 4) * 4000
-        p = tmp_path / "ramp.pgm"
-        self._write_p5(p, ramp)
-        out = read_pgm(p)
-        npt.assert_array_equal(out, ramp.astype(np.float64))
-
-    def test_ascii_variant(self, tmp_path):
-        p = tmp_path / "a.pgm"
-        p.write_text("P2\n# comment\n3 2\n500\n0 10 20\n300 400 500\n")
-        out = read_pgm(p)
-        npt.assert_array_equal(out, [[0, 10, 20], [300, 400, 500]])
-
-    def test_8bit_binary(self, tmp_path):
-        vals = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        p = tmp_path / "b.pgm"
-        self._write_p5(p, vals, maxval=255)
-        npt.assert_array_equal(read_pgm(p), vals.astype(np.float64))
-
-    def test_truncated_raster(self, tmp_path):
-        p = tmp_path / "t.pgm"
-        p.write_bytes(b"P5\n4 4\n65535\n\x00\x01")
-        with pytest.raises(TensorFileError, match="32 bytes"):
-            read_pgm(p)
-
-    def test_wrong_magic(self, tmp_path):
-        p = tmp_path / "w.pgm"
-        p.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
-        with pytest.raises(TensorFileError, match="magic"):
-            read_pgm(p)
-
-    def test_sample_above_maxval(self, tmp_path):
-        p = tmp_path / "m.pgm"
-        p.write_text("P2\n2 1\n100\n50 101\n")
-        with pytest.raises(TensorFileError, match="maxval"):
-            read_pgm(p)
-
-    @pytest.mark.parametrize("sample", ["-5", "abc", "1_0", "2.5"])
-    def test_ascii_sample_not_a_non_negative_integer(self, tmp_path, sample):
-        p = tmp_path / "n.pgm"
-        p.write_text(f"P2\n2 1\n100\n50 {sample}\n")
-        with pytest.raises(TensorFileError, match=f"n.pgm: PGM sample '{sample}'"):
-            read_pgm(p)
-
-    @settings(derandomize=True, deadline=None)
-    @given(data=st.data())
-    def test_property_8_and_16_bit_round_trip(self, tmp_path_factory, data):
-        maxval = data.draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
-        values = data.draw(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, max_side=9),
-                                  elements=st.integers(0, maxval)))
-        h, w = values.shape
-        header = f"{w} {h}\n# drawn fixture\n{maxval}\n"
-        if data.draw(st.booleans(), label="ascii"):
-            body = "\n".join(" ".join(map(str, row)) for row in values)
-            payload = f"P2\n{header}{body}\n".encode()
-        else:
-            payload = f"P5\n{header}".encode() + values.astype(
-                ">u2" if maxval > 255 else "u1").tobytes()
-        p = tmp_path_factory.mktemp("pgm") / "drawn.pgm"
-        p.write_bytes(payload)
-        npt.assert_array_equal(read_pgm(p), values.astype(np.float64))
 
 
 def _entry(seed, direction="nce_to_ce", psnr=None):

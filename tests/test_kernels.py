@@ -12,11 +12,9 @@ from dcemetrics.kernels import (
     FixedFeatureExtractor,
     GradCheckReport,
     KernelPredictorSet,
-    LossBundle,
     adaconv_apply,
     adain,
     bidirectional_convlstm,
-    compute_loss_bundle,
     convlstm_cell,
     grad_check,
     grad_loss_adv_mse,
@@ -447,28 +445,6 @@ class TestLosses:
         g = rng.normal(size=(12, 12))
         y = np.tile([[0.0, 1.0]], (12, 6))
         assert loss_style_frob(g, y, ex) > 0
-
-    def test_bundle_collects_all_terms(self):
-        ex = FixedFeatureExtractor.from_seed(0)
-        rng = np.random.default_rng(32)
-        img = rng.normal(size=(8, 8))
-        bundle = compute_loss_bundle(
-            generated=img + 0.1,
-            original=img,
-            latent_pred=rng.normal(size=(4, 4, 4)),
-            latent_recon=rng.normal(size=(4, 4, 4)),
-            adv_scores=rng.uniform(0, 1, 16),
-            adv_target=1.0,
-            style=rng.normal(size=(8, 8)),
-            extractor=ex,
-        )
-        d = bundle.to_dict()
-        assert set(d) == {"l1_image", "l1_latent", "adv_mse", "feature", "style_frob"}
-        assert all(v >= 0 for v in d.values())
-
-    def test_bundle_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            LossBundle(-1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestGradCheck:

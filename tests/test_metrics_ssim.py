@@ -127,6 +127,23 @@ class TestSSIM:
         # a positive range whose constants stay nonzero still scores
         assert ssim(x, x, SSIMParams(data_range=1e-150)) == 1.0
 
+    @pytest.mark.parametrize("score", ["ssim", "ms_ssim", "cw_ssim"])
+    def test_overflow_names_input_or_range(self, score):
+        # squares of values near 1e155 and the constant (0.03 * 1e160)^2 pass
+        # the float64 range; each used to give nan or a bare OverflowError
+        x = _image(9, (32, 32), 0.0, 1.0)
+        dm = distance_map(x > 0.5)
+        fn = {"ssim": ssim, "ms_ssim": ms_ssim,
+              "cw_ssim": lambda a, b, p: cw_ssim(a, b, dm, p)}[score]
+        with pytest.raises(ValueError, match="^x is too large to score"):
+            fn(x * 1e155, x, MSSSIMParams())  # auto range 1e155 still has finite constants
+        with pytest.raises(ValueError, match="^y is too large to score"):
+            fn(x, x * 1e155, MSSSIMParams(data_range=1.0))
+        for data_range in (None, 1e160, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^data_range"):
+                fn(x * 1e160, x, MSSSIMParams(data_range=data_range))
+        assert fn(x * 1e150, x * 1e150, MSSSIMParams()) == pytest.approx(1.0, abs=1e-12)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ssim(_image(0, (16, 16)), _image(0, (16, 17)))
@@ -287,6 +304,17 @@ class TestPSNR:
         with pytest.raises(ValueError, match="peak"):
             psnr(_image(54), _image(55), peak=0.0)
 
+    def test_overflow_names_input_or_peak(self):
+        x = _image(56, lo=0.0, hi=1.0)
+        # peak^2 is finite here, but the sum of squared errors overflows
+        with pytest.raises(ValueError, match="^reference is too large to score"):
+            psnr(x * 6e153, np.zeros_like(x))
+        with pytest.raises(ValueError, match="^test is too large to score"):
+            psnr(x, x * 1e160, peak=1.0)
+        for peak in (None, 1e155, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^peak"):
+                psnr(x * 1e155, x, peak=peak)
+
 
 class TestEvaluateTriple:
     def _sequence_and_triple(self, seed, shape=(24, 24)):
@@ -403,6 +431,20 @@ class TestEvaluateTriple:
             c[3, 4] = 1e-200
         with pytest.raises(ValueError, match="data_range"):
             evaluate_triple(g, c, s, seq, params)
+
+    @pytest.mark.parametrize("culprit", ["generated", "content", "style"])
+    def test_overflowing_input_named(self, culprit):
+        seq, *triple = self._sequence_and_triple(71)
+        names = ("generated", "content", "style")
+        triple[names.index(culprit)] = triple[names.index(culprit)] * 1e153
+        with pytest.raises(ValueError, match=f"^{culprit} is too large to score"):
+            evaluate_triple(*triple, seq, EvalParams(data_range=100.0, peak=100.0))
+
+    @pytest.mark.parametrize("name", ["data_range", "peak"])
+    def test_overflowing_range_or_peak_rejected(self, name):
+        seq, g, c, s = self._sequence_and_triple(71)
+        with pytest.raises(ValueError, match=f"^{name}"):
+            evaluate_triple(g, c, s, seq, EvalParams(**{name: 1e160}))
 
     def test_physical_spacing_weights_cw_ssim(self):
         seq, g, c, s = self._sequence_and_triple(70)

@@ -204,24 +204,24 @@ class TestConv:
 
 class TestGaussianWindow:
     def test_sum_is_one(self):
-        w = GaussianWindow.create((11, 11), 1.5)
+        w = GaussianWindow.create((11, 11))
         for taps in w.taps:
             assert abs(taps.sum() - 1.0) < 1e-12
 
     def test_reflection_symmetry(self):
-        w = GaussianWindow.create((11, 7), 1.5)
+        w = GaussianWindow.create((11, 7))
         assert [t.size for t in w.taps] == [11, 7]
         for taps in w.taps:
             npt.assert_array_equal(taps, taps[::-1])
 
     def test_rejects_even_or_nonpositive(self):
         with pytest.raises(ValueError, match="odd"):
-            GaussianWindow.create((4,), 1.5)
-        with pytest.raises(ValueError, match="sigma"):
-            GaussianWindow.create((3,), 0.0)
+            GaussianWindow.create((4,))
+        with pytest.raises(ValueError, match="odd and positive"):
+            GaussianWindow.create((-1,))
 
     def test_for_shape_truncates_to_odd(self):
-        w = GaussianWindow.for_shape((64, 8, 5), size=11)
+        w = GaussianWindow.for_shape((64, 8, 5))
         assert w.sizes == (11, 7, 5)
 
     def test_equal_windows_compare_and_hash_alike(self):
@@ -230,13 +230,12 @@ class TestGaussianWindow:
         assert w == same
         assert hash(w) == hash(same)
         assert len({w, same}) == 1
-        assert w != GaussianWindow.create(w.sizes, sigma=2.0)
         assert w != GaussianWindow.create((11, 7, 3))
 
 
 class TestWindowedMoments:
     def test_constant_image(self):
-        w = GaussianWindow.create((5, 5), 1.5)
+        w = GaussianWindow.create((5, 5))
         x = np.full((9, 9), 3.25)
         m = windowed_moments(x, x, w)
         npt.assert_allclose(m.mu_x, 3.25, atol=1e-12)
@@ -246,7 +245,7 @@ class TestWindowedMoments:
     def test_self_covariance_equals_variance(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(12, 12))
-        w = GaussianWindow.create((5, 5), 1.5)
+        w = GaussianWindow.create((5, 5))
         m = windowed_moments(x, x, w)
         npt.assert_allclose(m.cov_xy, m.var_x, atol=1e-12)
 
@@ -254,7 +253,7 @@ class TestWindowedMoments:
         rng = np.random.default_rng(33)
         x = rng.uniform(0, 10, size=(16, 16))
         y = rng.uniform(0, 10, size=(16, 16))
-        w = GaussianWindow.create((7, 7), 1.5)
+        w = GaussianWindow.create((7, 7))
         m = windowed_moments(x, y, w)
         weights = np.multiply.outer(*w.taps)
         for pos in [(0, 0), (3, 5), (9, 9), (2, 0)]:
@@ -280,7 +279,7 @@ class TestWindowedMoments:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.uniform(0, 10, size=shape)
         y = rng.uniform(0, 10, size=shape)
-        w = GaussianWindow.create(sizes, 1.5)
+        w = GaussianWindow.create(sizes)
         m = windowed_moments(x, y, w)
         out_shape = tuple(n - ws + 1 for n, ws in zip(shape, sizes))
         assert m.mu_x.shape == out_shape
@@ -301,7 +300,7 @@ class TestWindowedMoments:
 
     def test_variance_nonneg_and_cauchy_schwarz(self):
         rng = np.random.default_rng(41)
-        w = GaussianWindow.create((5, 5), 1.5)
+        w = GaussianWindow.create((5, 5))
         for _ in range(10):
             x = rng.normal(size=(10, 10))
             y = rng.normal(size=(10, 10))
@@ -311,17 +310,17 @@ class TestWindowedMoments:
             assert np.all(np.abs(m.cov_xy) <= np.sqrt(m.var_x * m.var_y) + 1e-9)
 
     def test_window_larger_than_image(self):
-        w = GaussianWindow.create((11, 11), 1.5)
+        w = GaussianWindow.create((11, 11))
         with pytest.raises(ValueError, match="larger"):
             windowed_moments(np.zeros((5, 5)), np.zeros((5, 5)), w)
 
     def test_shape_mismatch(self):
-        w = GaussianWindow.create((3, 3), 1.5)
+        w = GaussianWindow.create((3, 3))
         with pytest.raises(ValueError, match="mismatch"):
             windowed_moments(np.zeros((5, 5)), np.zeros((5, 6)), w)
 
     def test_rank_mismatch(self):
-        w = GaussianWindow.create((3, 3), 1.5)
+        w = GaussianWindow.create((3, 3))
         with pytest.raises(ValueError, match="rank"):
             windowed_moments(np.zeros((5, 5, 5)), np.zeros((5, 5, 5)), w)
 
