@@ -20,8 +20,11 @@ loops and finite differences:
   tanh so every loss routed through it is smooth and finite-difference
   checks are valid everywhere.
 * the loss family (``loss_l1``, ``loss_adv_mse``, ``loss_feature``,
-  ``loss_style_frob``) with analytic gradients and ``grad_check``, a
-  central-difference harness over randomly sampled coordinates.
+  ``loss_style_frob``) and ``grad_check``, a central-difference harness
+  over randomly sampled coordinates.  The L1 and adversarial gradients are
+  public functions; the feature and style gradients live in the check
+  itself, pulled back through the extractor's adjoint from the fixed-side
+  features it extracts once.
 
 Feature maps are arrays shaped (C, spatial...); plain images enter the
 extractor as (spatial...) and are lifted to a single channel.
@@ -37,6 +40,10 @@ import numpy as np
 from .tensor import as_f64, as_f64_pair, conv
 
 LOSS_IDS = ("l1", "adv_mse", "feature", "style_frob")
+# spatial kernel of every seeded or identity constructor
+_KERNEL = (3, 3)
+# frames of a bidirectional ConvLSTM sequence
+_N_FRAMES = 5
 
 
 def _check_feature_map(x: np.ndarray, name: str) -> np.ndarray:
@@ -128,12 +135,11 @@ class AdaConvKernelSet:
         return self.depthwise.shape[1] * self.groups
 
     @classmethod
-    def identity(cls, channels: int, kernel_size: int = 3, ndim: int = 2) -> "AdaConvKernelSet":
+    def identity(cls, channels: int) -> "AdaConvKernelSet":
         """Kernel set whose application is the identity map."""
-        dw = np.zeros((channels, 1) + (kernel_size,) * ndim)
-        center = (slice(None), 0) + (kernel_size // 2,) * ndim
-        dw[center] = 1.0
-        pw = np.eye(channels).reshape((channels, channels) + (1,) * ndim)
+        dw = np.zeros((channels, 1) + _KERNEL)
+        dw[:, 0, 1, 1] = 1.0
+        pw = np.eye(channels).reshape((channels, channels, 1, 1))
         return cls(dw, pw, np.zeros(channels), groups=channels)
 
 
@@ -194,33 +200,17 @@ class KernelPredictorSet:
     seed: int
 
     @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        code_channels: int,
-        channels: int,
-        kernel_size: int = 3,
-        groups: int | None = None,
-        ndim: int = 2,
-        hidden: int = 8,
-    ) -> "KernelPredictorSet":
-        if groups is None:
-            groups = channels
-        if channels % groups != 0:
-            raise ValueError(f"groups ({groups}) must divide channels ({channels})")
-        targets = (
-            (channels, channels // groups) + (kernel_size,) * ndim,
-            (channels, channels) + (1,) * ndim,
-            (channels,),
-        )
+    def from_seed(cls, seed: int, code_channels: int, channels: int) -> "KernelPredictorSet":
+        """Heads with 8 hidden channels predicting a depthwise (groups = channels) set."""
+        targets = ((channels, 1) + _KERNEL, (channels, channels, 1, 1), (channels,))
         children = np.random.SeedSequence(seed).spawn(3)
         heads = []
         for child, target in zip(children, targets):
             rng = np.random.default_rng(child)
-            ck = rng.normal(0.0, 0.1, size=(hidden, code_channels) + (3,) * ndim)
-            mix = rng.normal(0.0, 0.1, size=(int(np.prod(target)), hidden))
+            ck = rng.normal(0.0, 0.1, size=(8, code_channels) + _KERNEL)
+            mix = rng.normal(0.0, 0.1, size=(int(np.prod(target)), 8))
             heads.append(KernelPredictor(ck, mix, target))
-        return cls(heads[0], heads[1], heads[2], code_channels, groups, seed)
+        return cls(heads[0], heads[1], heads[2], code_channels, channels, seed)
 
     def predict(self, style_code) -> AdaConvKernelSet:
         code = _check_feature_map(as_f64(style_code, "style_code"), "style_code")
@@ -274,61 +264,15 @@ class ConvLSTMWeights:
     def in_channels(self) -> int:
         return self.kernel.shape[1] - self.hidden
 
-    def _gate(self, idx: int) -> np.ndarray:
-        h = self.hidden
-        return self.kernel[idx * h : (idx + 1) * h]
-
-    def _gate_bias(self, idx: int) -> np.ndarray:
-        h = self.hidden
-        return self.bias[idx * h : (idx + 1) * h]
-
-    # per-gate views, in the (i, f, g, o) stacking order
-    @property
-    def w_i(self) -> np.ndarray:
-        return self._gate(0)
-
-    @property
-    def w_f(self) -> np.ndarray:
-        return self._gate(1)
-
-    @property
-    def w_g(self) -> np.ndarray:
-        return self._gate(2)
-
-    @property
-    def w_o(self) -> np.ndarray:
-        return self._gate(3)
-
-    @property
-    def b_i(self) -> np.ndarray:
-        return self._gate_bias(0)
-
-    @property
-    def b_f(self) -> np.ndarray:
-        return self._gate_bias(1)
-
-    @property
-    def b_g(self) -> np.ndarray:
-        return self._gate_bias(2)
-
-    @property
-    def b_o(self) -> np.ndarray:
-        return self._gate_bias(3)
-
     @classmethod
-    def from_seed(
-        cls, seed: int, in_channels: int, hidden: int, kernel_size: int = 3, ndim: int = 2
-    ) -> "ConvLSTMWeights":
+    def from_seed(cls, seed: int, in_channels: int, hidden: int) -> "ConvLSTMWeights":
         rng = np.random.default_rng(seed)
-        shape = (4 * hidden, in_channels + hidden) + (kernel_size,) * ndim
+        shape = (4 * hidden, in_channels + hidden) + _KERNEL
         return cls(rng.normal(0.0, 0.1, size=shape), rng.normal(0.0, 0.1, size=4 * hidden))
 
     @classmethod
-    def zeros(
-        cls, in_channels: int, hidden: int, kernel_size: int = 3, ndim: int = 2
-    ) -> "ConvLSTMWeights":
-        shape = (4 * hidden, in_channels + hidden) + (kernel_size,) * ndim
-        return cls(np.zeros(shape), np.zeros(4 * hidden))
+    def zeros(cls, in_channels: int, hidden: int) -> "ConvLSTMWeights":
+        return cls(np.zeros((4 * hidden, in_channels + hidden) + _KERNEL), np.zeros(4 * hidden))
 
 
 @dataclass(frozen=True)
@@ -379,10 +323,7 @@ def convlstm_cell(x, state: ConvLSTMState, weights: ConvLSTMWeights) -> ConvLSTM
 
 
 def bidirectional_convlstm(
-    seq,
-    fw_weights: ConvLSTMWeights,
-    bw_weights: ConvLSTMWeights,
-    expected_frames: int = 5,
+    seq, fw_weights: ConvLSTMWeights, bw_weights: ConvLSTMWeights
 ) -> list[np.ndarray]:
     """Run the cell in both temporal directions and concatenate the outputs.
 
@@ -391,8 +332,8 @@ def bidirectional_convlstm(
     the two-direction recurrence itself is standard.
     """
     frames = [_check_feature_map(as_f64(f, f"frame {i}"), f"frame {i}") for i, f in enumerate(seq)]
-    if len(frames) != expected_frames:
-        raise ValueError(f"expected exactly {expected_frames} frames, got {len(frames)}")
+    if len(frames) != _N_FRAMES:
+        raise ValueError(f"expected exactly {_N_FRAMES} frames, got {len(frames)}")
     shape = frames[0].shape
     for i, f in enumerate(frames):
         if f.shape != shape:
@@ -433,20 +374,14 @@ class FixedFeatureExtractor:
 
     @classmethod
     def from_seed(
-        cls,
-        seed: int = 0,
-        channels: tuple[int, ...] = (1, 8, 16, 16),
-        kernel_size: int = 3,
-        ndim: int = 2,
+        cls, seed: int = 0, channels: tuple[int, ...] = (1, 8, 16, 16)
     ) -> "FixedFeatureExtractor":
         rng = np.random.default_rng(seed)
         kernels = []
         biases = []
         for cin, cout in zip(channels[:-1], channels[1:]):
-            scale = 1.0 / np.sqrt(cin * kernel_size**ndim)
-            kernels.append(
-                rng.normal(0.0, scale, size=(cout, cin) + (kernel_size,) * ndim)
-            )
+            scale = 1.0 / np.sqrt(cin * 9)
+            kernels.append(rng.normal(0.0, scale, size=(cout, cin) + _KERNEL))
             biases.append(rng.normal(0.0, 0.1, size=cout))
         return cls(tuple(kernels), tuple(biases), seed)
 
@@ -501,21 +436,19 @@ class FixedFeatureExtractor:
         return activations[-1], vjp
 
 
-def gram_matrix(features, normalize: bool = True) -> np.ndarray:
+def gram_matrix(features) -> np.ndarray:
     """Channel-by-channel inner products of a feature map.
 
-    G[a, b] = sum_s F_a(s) F_b(s), divided by (channels * positions)
-    unless ``normalize`` is False.
+    G[a, b] = sum_s F_a(s) F_b(s) / (channels * positions).
     """
     f = _check_feature_map(as_f64(features, "features"), "features")
-    return _grams(f[np.newaxis], normalize)[0]
+    return _grams(f[np.newaxis])[0]
 
 
-def _grams(f: np.ndarray, normalize: bool) -> np.ndarray:
+def _grams(f: np.ndarray) -> np.ndarray:
     """Gram matrices (B, C, C) of a stack of feature maps (B, C, spatial...)."""
     flat = f.reshape(f.shape[:2] + (-1,))
-    g = flat @ flat.swapaxes(1, 2)
-    return g / flat[0].size if normalize else g
+    return flat @ flat.swapaxes(1, 2) / flat[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -566,38 +499,17 @@ def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
     return float(_feature_distance(extractor.features(ga)[np.newaxis], extractor.features(xa))[0])
 
 
-def grad_loss_feature(g, x, extractor: FixedFeatureExtractor) -> np.ndarray:
-    ga = as_f64(g, "g")
-    fx = extractor.features(as_f64(x, "x"))
-    fg, vjp = extractor.features_and_vjp(ga)
-    d = fg - fx
-    return vjp(2.0 * d / d.size)
-
-
-def _style_distance(fg: np.ndarray, gram_y: np.ndarray, normalize_gram: bool) -> np.ndarray:
+def _style_distance(fg: np.ndarray, gram_y: np.ndarray) -> np.ndarray:
     """||G(fg[i]) - gram_y||_F^2 for each map of a stack fg (B, C, spatial...)."""
-    dg = _grams(fg, normalize_gram) - gram_y
+    dg = _grams(fg) - gram_y
     return (dg**2).sum(axis=(1, 2))
 
 
-def loss_style_frob(g, y, extractor: FixedFeatureExtractor, normalize_gram: bool = True) -> float:
+def loss_style_frob(g, y, extractor: FixedFeatureExtractor) -> float:
     """Squared Frobenius distance between feature Gram matrices."""
     ga, ya = as_f64_pair(g, y, "g", "y")
-    gram_y = gram_matrix(extractor.features(ya), normalize_gram)
-    return float(_style_distance(extractor.features(ga)[np.newaxis], gram_y, normalize_gram)[0])
-
-
-def grad_loss_style_frob(
-    g, y, extractor: FixedFeatureExtractor, normalize_gram: bool = True
-) -> np.ndarray:
-    ga = as_f64(g, "g")
-    fy = extractor.features(as_f64(y, "y"))
-    fg, vjp = extractor.features_and_vjp(ga)
-    delta = gram_matrix(fg, normalize_gram) - gram_matrix(fy, normalize_gram)
-    flat = fg.reshape(fg.shape[0], -1)
-    scale = 4.0 / flat.size if normalize_gram else 4.0
-    cotangent = (scale * (delta @ flat)).reshape(fg.shape)
-    return vjp(cotangent)
+    gram_y = gram_matrix(extractor.features(ya))
+    return float(_style_distance(extractor.features(ga)[np.newaxis], gram_y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +544,9 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
 
     ``value_fn`` maps a stack of probes shaped (B, *first.shape) to their B
     loss values.  The feature losses extract the fixed second argument's
-    features (or Gram matrix) once here and run each probe stack through
-    the extractor as one batch.
+    features (or Gram matrix) once, pull the loss gradient back through the
+    extractor's adjoint and run each probe stack through the extractor as
+    one batch.
     """
     if loss_id == "l1":
         a, b = as_f64_pair(*inputs, "a", "b")
@@ -648,19 +561,25 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
         ), grad_loss_adv_mse(scores, target)
     if loss_id == "feature":
         g, x, extractor = inputs
-        fx = extractor.features(as_f64_pair(g, x, "g", "x")[1])
+        ga, xa = as_f64_pair(g, x, "g", "x")
+        fx = extractor.features(xa)
+        fg, vjp = extractor.features_and_vjp(ga)
+        # d/dF of (1/f) ||F - fx||^2
         return (
             lambda p: _feature_distance(extractor.features(_probe_batch(p, fx)), fx)
-        ), grad_loss_feature(g, x, extractor)
+        ), vjp(2.0 * (fg - fx) / fg.size)
     if loss_id == "style_frob":
         g, y, extractor = inputs
-        fy = extractor.features(as_f64_pair(g, y, "g", "y")[1])
+        ga, ya = as_f64_pair(g, y, "g", "y")
+        fy = extractor.features(ya)
         gram_y = gram_matrix(fy)
+        fg, vjp = extractor.features_and_vjp(ga)
+        # d/dF of ||G(F) - gram_y||^2 with G(F) = F F^T / f
+        flat = fg.reshape(fg.shape[0], -1)
+        cotangent = (4.0 / flat.size * ((gram_matrix(fg) - gram_y) @ flat)).reshape(fg.shape)
         return (
-            lambda p: _style_distance(
-                extractor.features(_probe_batch(p, fy)), gram_y, normalize_gram=True
-            )
-        ), grad_loss_style_frob(g, y, extractor)
+            lambda p: _style_distance(extractor.features(_probe_batch(p, fy)), gram_y)
+        ), vjp(cotangent)
     raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
 
 

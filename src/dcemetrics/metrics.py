@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (WINDOW_SIZE, GaussianWindow, VolumeSequence, as_f64, as_f64_pair,
-                     windowed_moments)
+                     check_spacing, windowed_moments)
 
 logger = logging.getLogger(__name__)
 
@@ -187,7 +187,8 @@ def detect_ce(
     frame; a voxel enhances when the average difference is strictly above
     the threshold.  Enhancement means signal increase, so the difference is
     frame - baseline; ``signed_reverse`` flips the sign for data where
-    enhancement darkens the image.
+    enhancement darkens the image.  A difference or mean that overflows
+    float64 raises ``ValueError`` naming the sequence.
     """
     frames = seq.frames if isinstance(seq, VolumeSequence) else as_f64(seq, "sequence")
     if frames.shape[0] < 2:
@@ -197,30 +198,27 @@ def detect_ce(
             f"baseline_index {baseline_index} out of range for {frames.shape[0]} frames"
         )
     others = np.delete(frames, baseline_index, axis=0)
-    diff = others - frames[baseline_index]
-    if signed_reverse:
-        diff = -diff
-    mean_diff = diff.mean(axis=0)
+    with _named_overflow(sequence=frames):
+        diff = others - frames[baseline_index]
+        if signed_reverse:
+            diff = -diff
+        mean_diff = diff.mean(axis=0)
     return CEMask(mean_diff > threshold, float(threshold), int(baseline_index))
 
 
 def distance_transform(mask, spacing=None) -> np.ndarray:
     """Exact Euclidean distance from every voxel to the nearest True voxel.
 
-    ``spacing`` gives the per-axis voxel size (default 1).  On integer
-    (voxel) grids the result matches an all-pairs scan bit for bit.
-    All-False masks yield +inf everywhere.
+    ``spacing`` gives the per-axis voxel size (default 1), each finite and
+    positive.  On integer (voxel) grids the result matches an all-pairs
+    scan bit for bit.  All-False masks yield +inf everywhere.
     """
     m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
     if m.ndim == 0:
         raise ValueError("mask must have at least one axis")
     if m.size == 0:
         raise ValueError("mask must be non-empty")
-    if spacing is None:
-        spacing = (1.0,) * m.ndim
-    spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != m.ndim:
-        raise ValueError(f"spacing has {len(spacing)} entries for a rank-{m.ndim} mask")
+    spacing = (1.0,) * m.ndim if spacing is None else check_spacing(spacing, m.ndim)
     if not m.any():
         # scipy measures to a point outside the array here; there is no site
         return np.full(m.shape, np.inf)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import CEMask
-from .tensor import VolumeSequence
+from .tensor import VolumeSequence, check_spacing
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,7 @@ class PhantomSpec:
                 if c - rad < 0 or c + rad > n - 1:
                     raise ValueError(f"region {i} extends outside the grid")
         if self.spacing_mm is not None:
-            sp = tuple(float(s) for s in self.spacing_mm)
-            if len(sp) != len(self.grid) or any(s <= 0 for s in sp):
-                raise ValueError("spacing_mm must be positive, one per grid axis")
+            sp = check_spacing(self.spacing_mm, len(self.grid), "spacing_mm")
             object.__setattr__(self, "spacing_mm", sp)
 
     def to_dict(self) -> dict:

@@ -64,6 +64,16 @@ def as_f64_pair(a, b, name_a: str = "x", name_b: str = "y") -> tuple[np.ndarray,
     return xa, xb
 
 
+def check_spacing(spacing, ndim: int, name: str = "spacing") -> tuple[float, ...]:
+    """Voxel sizes as floats: one per spatial axis, each finite and positive."""
+    sp = tuple(float(s) for s in spacing)
+    if len(sp) != ndim:
+        raise ValueError(f"{name} has {len(sp)} entries for {ndim} spatial axes")
+    if not all(0.0 < s < np.inf for s in sp):  # NaN fails both comparisons
+        raise ValueError(f"{name} entries must be finite and positive, got {sp}")
+    return sp
+
+
 @dataclass
 class TensorND:
     """Row-major dense array of float64 scalars with optional axis tags.
@@ -126,15 +136,7 @@ class VolumeSequence:
         if self.frames.ndim < 2:
             raise ValueError("a sequence needs a time axis plus at least one spatial axis")
         if self.spacing_mm is not None:
-            spacing = tuple(float(s) for s in self.spacing_mm)
-            if len(spacing) != self.frames.ndim - 1:
-                raise ValueError(
-                    f"spacing_mm has {len(spacing)} entries for "
-                    f"{self.frames.ndim - 1} spatial axes"
-                )
-            if any(s <= 0 for s in spacing):
-                raise ValueError("spacing_mm entries must be positive")
-            self.spacing_mm = spacing
+            self.spacing_mm = check_spacing(self.spacing_mm, self.frames.ndim - 1, "spacing_mm")
 
     @property
     def n_frames(self) -> int:

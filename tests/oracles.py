@@ -157,8 +157,8 @@ def brute_force_edt(mask, spacing=None):
 def scalar_convlstm_cell(x, h, c, weights):
     """Per-voxel scalar evaluation of the ConvLSTM gate equations.
 
-    ``weights`` carries per-gate kernels over the concatenated (x, h)
-    stack plus biases; zero padding at the borders.
+    ``weights`` carries the gate kernels over the concatenated (x, h)
+    stack plus biases, stacked (i, f, g, o); zero padding at the borders.
     """
     x = np.asarray(x, np.float64)
     h = np.asarray(h, np.float64)
@@ -179,14 +179,17 @@ def scalar_convlstm_cell(x, h, c, weights):
                 acc += kern[(ch, ci) + kpos] * z[(ci,) + src]
         return acc
 
+    # per-gate blocks, stacked (i, f, g, o) along the output axis
+    w_i, w_f, w_g, w_o = (weights.kernel[k * hidden : (k + 1) * hidden] for k in range(4))
+    b_i, b_f, b_g, b_o = (weights.bias[k * hidden : (k + 1) * hidden] for k in range(4))
     h_new = np.zeros_like(h)
     c_new = np.zeros_like(c)
     for ch in range(hidden):
         for pos in np.ndindex(*spatial):
-            i = 1.0 / (1.0 + math.exp(-gate_pre(weights.w_i, weights.b_i, ch, pos)))
-            f = 1.0 / (1.0 + math.exp(-gate_pre(weights.w_f, weights.b_f, ch, pos)))
-            o = 1.0 / (1.0 + math.exp(-gate_pre(weights.w_o, weights.b_o, ch, pos)))
-            g = math.tanh(gate_pre(weights.w_g, weights.b_g, ch, pos))
+            i = 1.0 / (1.0 + math.exp(-gate_pre(w_i, b_i, ch, pos)))
+            f = 1.0 / (1.0 + math.exp(-gate_pre(w_f, b_f, ch, pos)))
+            o = 1.0 / (1.0 + math.exp(-gate_pre(w_o, b_o, ch, pos)))
+            g = math.tanh(gate_pre(w_g, b_g, ch, pos))
             cn = f * c[(ch,) + pos] + i * g
             c_new[(ch,) + pos] = cn
             h_new[(ch,) + pos] = o * math.tanh(cn)

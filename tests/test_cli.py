@@ -114,6 +114,16 @@ class TestDistMap:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_physical_mode_with_bad_sidecar_spacing_fails_validation(self, tmp_path, capsys, bad):
+        mpath = tmp_path / "mask.raw"
+        write_tensor(mpath, np.eye(3), spacing_mm=(bad, 1.0))
+        wpath = tmp_path / "w.raw"
+        rc = main(["distmap", "--mask", str(mpath), "--out", str(wpath), "--mode", "physical"])
+        assert rc == 1
+        assert "finite and positive" in capsys.readouterr().err
+        assert not wpath.exists()
+
 
 class TestMetrics:
     def _setup(self, tmp_path, spec, noise=0.0, seed=11):

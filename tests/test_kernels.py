@@ -252,6 +252,17 @@ class TestConvLSTMCell:
             assert np.all(np.abs(new.h) < 1.0)
             state = new
 
+    def test_seed42_golden_sums(self):
+        # frozen from an inspected run; guards against silent drift in the
+        # draw order or the gate kernel shape
+        w = ConvLSTMWeights.from_seed(42, in_channels=2, hidden=3)
+        assert w.kernel.shape == (12, 5, 3, 3)
+        npt.assert_allclose(
+            (float(w.kernel.sum()), float(w.bias.sum())),
+            (-0.6617812948949152, -0.13508815918982076),
+            rtol=1e-12,
+        )
+
     def test_shape_validation(self):
         w = ConvLSTMWeights.zeros(in_channels=2, hidden=2)
         state = ConvLSTMState.zeros(2, (4, 4))
@@ -355,6 +366,19 @@ class TestFeatureExtractor:
             numeric = ((ex.features(xp) - ex.features(xm)) * cot).sum() / (2 * h)
             assert grad[idx] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
 
+    def test_seed42_golden_sums(self):
+        # frozen from an inspected run; guards against silent drift in the
+        # draw order, the layer shapes or the per-layer scales
+        ex = FixedFeatureExtractor.from_seed(42)
+        assert [k.shape for k in ex.kernels] == [(8, 1, 3, 3), (16, 8, 3, 3), (16, 16, 3, 3)]
+        golden = [(float(k.sum()), float(b.sum())) for k, b in zip(ex.kernels, ex.biases)]
+        expected = [
+            (0.5331811577708505, 0.04581504471777645),
+            (-4.40358466823242, 0.15253667653043862),
+            (-2.648158322705676, 0.19469493220355977),
+        ]
+        npt.assert_allclose(golden, expected, rtol=1e-12)
+
     def test_three_channel_input(self):
         ex = FixedFeatureExtractor.from_seed(5, channels=(3, 8, 16, 16))
         f = ex.features(np.random.default_rng(6).normal(size=(3, 9, 9)))
@@ -379,7 +403,6 @@ class TestGram:
 
     def test_normalization_flag(self):
         f = np.ones((2, 3, 3))
-        npt.assert_allclose(gram_matrix(f, normalize=False), 9.0 * np.ones((2, 2)))
         npt.assert_allclose(gram_matrix(f), 0.5 * np.ones((2, 2)))
 
 
@@ -502,9 +525,9 @@ class TestGradCheck:
         report = grad_check(loss_id, (g, fixed, ex), seed=6, n_coords=16)
         assert report.ok and report.n_coords == 16
         # two probes per coordinate plus the fixed side, extracted once for
-        # the values and once for the gradient; re-extracting it per probe
-        # would double the count
-        assert len(calls) <= 2 * 16 + 2
+        # both the values and the gradient; re-extracting it per probe would
+        # double the count
+        assert len(calls) <= 2 * 16 + 1
 
     @pytest.mark.parametrize("loss_id", ["feature", "style_frob"])
     def test_probes_run_in_batches(self, loss_id, monkeypatch):
@@ -521,8 +544,8 @@ class TestGradCheck:
         g, fixed = rng.normal(size=(14, 14)), rng.normal(size=(14, 14))
         report = grad_check(loss_id, (g, fixed, ex), seed=7, n_coords=64)
         assert report.ok and report.max_rel_error <= 1e-4
-        # the fixed side twice, then one call per stack of probes
-        assert len(calls) <= 2 + math.ceil(2 * 64 / kernels._PROBE_CHUNK)
+        # the fixed side once, then one call per stack of probes
+        assert len(calls) <= 1 + math.ceil(2 * 64 / kernels._PROBE_CHUNK)
 
     @pytest.mark.parametrize("loss_id", ["feature", "style_frob"])
     def test_skewed_gradient_is_caught(self, loss_id):

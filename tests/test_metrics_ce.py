@@ -78,6 +78,14 @@ class TestDetectCE:
         ce = detect_ce(VolumeSequence(frames), baseline_index=1, threshold=20.0)
         assert ce.mask.all()
 
+    def test_overflow_named_instead_of_a_wrong_mask(self):
+        # the true mean rise is -2, but a running sum reaches inf before the
+        # negative frames, which flagged every voxel
+        frames = np.zeros((6, 2, 2))
+        frames[1:] = np.array([1e308, 1e308, -1e308, -1e308, -10.0])[:, None, None]
+        with pytest.raises(ValueError, match="^sequence is too large to score"):
+            detect_ce(VolumeSequence(frames))
+
 
 class TestDistanceTransform:
     def test_matches_brute_force_1d(self):
@@ -114,6 +122,11 @@ class TestDistanceTransform:
     def test_spacing_rank_check(self):
         with pytest.raises(ValueError, match="spacing"):
             distance_transform(np.ones((3, 3), dtype=bool), spacing=(1.0,))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_spacing_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            distance_transform(np.eye(3, dtype=bool), (bad, 1.0))
 
     def test_rank_zero_mask_rejected(self):
         with pytest.raises(ValueError, match="at least one axis"):

@@ -440,6 +440,14 @@ class TestEvaluateTriple:
         with pytest.raises(ValueError, match=f"^{culprit} is too large to score"):
             evaluate_triple(*triple, seq, EvalParams(data_range=100.0, peak=100.0))
 
+    def test_overflowing_mask_sequence_named(self):
+        # CE detection's mean rise overflows; it must not score with a wrong mask
+        _, g, c, s = self._sequence_and_triple(72)
+        frames = np.zeros((6,) + g.shape)
+        frames[1:] = np.array([1e308, 1e308, -1e308, -1e308, -10.0])[:, None, None]
+        with pytest.raises(ValueError, match="^sequence is too large to score"):
+            evaluate_triple(g, c, s, VolumeSequence(frames))
+
     @pytest.mark.parametrize("name", ["data_range", "peak"])
     def test_overflowing_range_or_peak_rejected(self, name):
         seq, g, c, s = self._sequence_and_triple(71)

@@ -59,6 +59,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="2D or 3D"):
             PhantomSpec(grid=(8,), regions=())
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_spacing(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            _basic_spec(spacing_mm=(bad, 1.0))
+
     def test_spec_round_trips_through_dict(self):
         spec = _basic_spec(noise_sigma=3.0, spacing_mm=(1.12, 1.12))
         assert PhantomSpec.from_dict(spec.to_dict()) == spec

@@ -62,6 +62,11 @@ class TestVolumeSequence:
         with pytest.raises(ValueError, match="spacing"):
             VolumeSequence(np.zeros((3, 4, 4)), spacing_mm=(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_spacing_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            VolumeSequence(np.zeros((3, 4, 4)), spacing_mm=(bad, 1.0))
+
     def test_frame_access(self):
         seq = VolumeSequence(np.arange(8.0).reshape(2, 2, 2), spacing_mm=(1.12, 1.12))
         assert seq.n_frames == 2
