@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .metrics import DIRECTIONS, METRIC_FIELDS, MetricReport
-from .tensor import TensorND
+from .tensor import TensorND, check_spacing
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -44,7 +44,9 @@ def write_tensor(
 
     Accepts a TensorND or any finite array.  Values beyond float32 range
     are rejected rather than silently saturated to infinity.  An optional
-    provenance dict is embedded in the sidecar verbatim.
+    ``spacing_mm`` needs one finite, positive entry per axis other than T
+    and raises ``ValueError`` otherwise, before any file is opened.  An
+    optional provenance dict is embedded in the sidecar verbatim.
     """
     if isinstance(tensor, TensorND):
         data = tensor.data
@@ -70,7 +72,8 @@ def write_tensor(
         "dtype": "f32",
     }
     if spacing_mm is not None:
-        header["spacing_mm"] = [float(s) for s in spacing_mm]
+        n_spatial = len(axis_order) - axis_order.count("T")
+        header["spacing_mm"] = list(check_spacing(spacing_mm, n_spatial, "spacing_mm"))
     if provenance is not None:
         header["provenance"] = provenance
     payload = data.astype("<f4").tobytes(order="C")

@@ -197,13 +197,17 @@ def detect_ce(
         raise ValueError(
             f"baseline_index {baseline_index} out of range for {frames.shape[0]} frames"
         )
-    others = np.delete(frames, baseline_index, axis=0)
+    baseline = frames[baseline_index]
+    mean_rise = np.zeros_like(baseline)  # a running sum over frames in time order
+    rise = np.empty_like(baseline)
     with _named_overflow(sequence=frames):
-        diff = others - frames[baseline_index]
-        if signed_reverse:
-            diff = -diff
-        mean_diff = diff.mean(axis=0)
-    return CEMask(mean_diff > threshold, float(threshold), int(baseline_index))
+        for t, frame in enumerate(frames):
+            if t != baseline_index:
+                mean_rise += np.subtract(frame, baseline, out=rise)
+        mean_rise /= frames.shape[0] - 1
+    if signed_reverse:  # exact: rounding is symmetric under negation
+        np.negative(mean_rise, out=mean_rise)
+    return CEMask(mean_rise > threshold, float(threshold), int(baseline_index))
 
 
 def distance_transform(mask, spacing=None) -> np.ndarray:
@@ -256,7 +260,9 @@ def distance_map(mask, spacing=None, mode: str = "voxel") -> DistanceMap:
         logger.info("distance_map: mask is all CE, weighting is uniform 0.1")
         weights = np.full(m.shape, 0.1)
     else:
-        weights = 0.1 + 0.9 * (dist / d_max)
+        weights = dist / d_max  # then 0.1 + 0.9 * w in place; dist stays intact
+        weights *= 0.9
+        weights += 0.1
     return DistanceMap(weights, False, mode, dist)
 
 
@@ -318,7 +324,10 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool,
     SSIM is MS-SSIM's first-scale term.  With ``per_slice`` a volume is
     scored slice by slice along its leading axis and both scores averaged.
     One window serves every scale: each scale ``ms_ssim_scale_count``
-    admits still holds the full-resolution window on every axis.
+    admits still holds the full-resolution window on every axis.  The
+    luminance and contrast-structure maps are formed in place in each
+    scale's fresh ``windowed_moments`` maps, each formula evaluated left to
+    right as written.
     """
     c1 = (_K1 * data_range) ** 2
     c2 = (_K2 * data_range) ** 2
@@ -332,10 +341,23 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool,
         for scale in range(n_scales):
             if scale:
                 x, y = _downsample2(x), _downsample2(y)
-            m = windowed_moments(x, y, window)
-            lum = (2.0 * m.mu_x * m.mu_y + c1) / (m.mu_x**2 + m.mu_y**2 + c1)
-            cs = (2.0 * m.cov_xy + c2) / (m.var_x + m.var_y + c2)
-            per_scale.append((float((lum * cs).mean()), float(cs.mean())))
+            mu_x, mu_y, var_x, var_y, cs = windowed_moments(x, y, window)
+            # cs = (2 cov + c2) / (var_x + var_y + c2)
+            cs *= 2.0
+            cs += c2
+            var_x += var_y
+            var_x += c2
+            cs /= var_x
+            # lum = (2 mu_x mu_y + c1) / (mu_x^2 + mu_y^2 + c1), then lum * cs
+            lum = np.multiply(mu_x, 2.0, out=var_y)
+            lum *= mu_y
+            lum += c1
+            np.square(mu_x, out=mu_x)
+            mu_x += np.square(mu_y, out=mu_y)
+            mu_x += c1
+            lum /= mu_x
+            lum *= cs
+            per_scale.append((float(lum.mean()), float(cs.mean())))
         terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
         ssims.append(per_scale[0][0])
         ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))

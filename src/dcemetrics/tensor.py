@@ -9,7 +9,8 @@ accumulator, so no window of the input is ever copied; channel groups
 and an optional leading batch axis are broadcast axes of those products.
 The Gaussian window is separable, so the moment maps are taken one axis
 at a time over all five maps at once, each pass a few matrix products
-with a banded matrix of the axis's taps.  All verification arithmetic is
+with a banded matrix of the axis's taps; the variances and the covariance
+are then formed in place in that stack.  All verification arithmetic is
 float64; 32-bit data read from files is widened on entry.
 
 Conventions:
@@ -31,9 +32,16 @@ import numpy as np
 PADDING_MODES = ("zero", "reflect", "valid")
 
 #: Most valid outputs per band block in ``windowed_moments``: each output
-#: then costs at most this many plus taps - 1 multiply-adds, whatever the
-#: axis length, where one dense band would cost the axis length.
-_BAND_BLOCK = 64
+#: then costs at most this many plus taps - 1 multiply-adds (26 for the
+#: 11-tap window, 74 at a block of 64), whatever the axis length, where one
+#: dense band would cost the axis length.  Lower quartile to median time
+#: of a full 11-tap pass, one CPU, one BLAS thread: (5, 256, 256) 2.6-2.9 ms
+#: at 16, 4.1-4.2 ms at 64, and 5.4 ms at 8, where the per-block matmul
+#: calls cost more than the taps saved; (5, 32, 128, 128) 19.1-19.7 ms at 16
+#: and 29.4-30.4 ms at 64.  At these shapes and at (5, 16, 48, 48) the
+#: outputs equal those at 64 bit for bit; other shapes can differ in the
+#: last bits, as BLAS may group a row's terms by their offset in the block.
+_BAND_BLOCK = 16
 
 #: The SSIM window of Wang et al. 2004: 11 Gaussian taps per axis, sigma 1.5.
 WINDOW_SIZE = 11
@@ -329,7 +337,10 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     blocked band-matrix products (``_band_correlate``).
     Variances use the weighted E[v^2] - E[v]^2 form and are clamped at zero
     to absorb catastrophic cancellation on near-constant regions; the
-    covariance is left unclamped.
+    covariance is left unclamped.  Both are computed in place over the
+    second moments, with one spare map for the products, so the five
+    returned maps are views of one fresh (5, ...) array that the caller
+    may overwrite.
     """
     xa, ya = as_f64_pair(x, y)
     if len(window.sizes) != xa.ndim:
@@ -344,8 +355,10 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     np.multiply(xa, ya, out=sums[4])
     for axis, taps in enumerate(window.taps, start=1):
         sums = _band_correlate(sums, taps, axis)
-    mu_x, mu_y, e_xx, e_yy, e_xy = sums
-    var_x = np.maximum(e_xx - mu_x * mu_x, 0.0)
-    var_y = np.maximum(e_yy - mu_y * mu_y, 0.0)
-    cov_xy = e_xy - mu_x * mu_y
+    mu_x, mu_y, var_x, var_y, cov_xy = sums  # second moments until overwritten
+    prod = np.empty_like(mu_x)
+    var_x -= np.multiply(mu_x, mu_x, out=prod)
+    var_y -= np.multiply(mu_y, mu_y, out=prod)
+    cov_xy -= np.multiply(mu_x, mu_y, out=prod)
+    np.maximum(sums[2:4], 0.0, out=sums[2:4])  # both variances
     return Moments(mu_x, mu_y, var_x, var_y, cov_xy)

@@ -116,13 +116,35 @@ class TestDistMap:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_physical_mode_with_bad_sidecar_spacing_fails_validation(self, tmp_path, capsys, bad):
-        mpath = tmp_path / "mask.raw"
-        write_tensor(mpath, np.eye(3), spacing_mm=(bad, 1.0))
+        mpath = _mask_with_sidecar_spacing(tmp_path, [bad, 1.0])
         wpath = tmp_path / "w.raw"
         rc = main(["distmap", "--mask", str(mpath), "--out", str(wpath), "--mode", "physical"])
         assert rc == 1
         assert "finite and positive" in capsys.readouterr().err
         assert not wpath.exists()
+
+    @pytest.mark.parametrize("spacing, message", [
+        ([float("nan"), 0.0], "finite and positive"),
+        ([-1.0, 1.0], "finite and positive"),
+        ([float("inf"), 1.0], "finite and positive"),
+        ([1.0], "1 entries for 2 spatial axes"),
+    ])
+    def test_voxel_mode_rejects_bad_sidecar_spacing(self, tmp_path, capsys, spacing, message):
+        # voxel mode measures no spacing but would copy it into the output sidecar
+        mpath = _mask_with_sidecar_spacing(tmp_path, spacing)
+        wpath = tmp_path / "w.raw"
+        assert main(["distmap", "--mask", str(mpath), "--out", str(wpath)]) == 1
+        assert message in capsys.readouterr().err
+        assert not wpath.exists() and not (tmp_path / "w.raw.json").exists()
+
+
+def _mask_with_sidecar_spacing(tmp_path, spacing):
+    """A 3x3 mask whose sidecar is edited to carry ``spacing``, which write_tensor refuses."""
+    mpath = tmp_path / "mask.raw"
+    write_tensor(mpath, np.eye(3))
+    sidecar = tmp_path / "mask.raw.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "spacing_mm": spacing}))
+    return mpath
 
 
 class TestMetrics:

@@ -61,8 +61,10 @@ class TestTensorRoundTrip:
         dims = data.draw(array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4))
         axis_order = data.draw(st.text("TZYXC", min_size=len(dims), max_size=len(dims)))
         finite = st.floats(allow_nan=False, allow_infinity=False)
-        spacing = data.draw(st.none() | st.lists(finite, min_size=len(dims),
-                                                 max_size=len(dims)))
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        n_spatial = len(dims) - axis_order.count("T")
+        spacing = data.draw(st.none() | st.lists(positive, min_size=n_spatial,
+                                                 max_size=n_spatial))
         json_values = st.recursive(
             st.none() | st.booleans() | st.integers() | finite | st.text(),
             lambda inner: st.lists(inner, max_size=3)
@@ -126,6 +128,20 @@ class TestTensorRoundTrip:
     def test_axis_order_length_checked(self, tmp_path):
         with pytest.raises(TensorFileError, match="axis_order"):
             write_tensor(tmp_path / "bad.raw", np.zeros((2, 2)), axis_order="ZYX")
+
+    @pytest.mark.parametrize("order, spacing, match", [
+        ("YX", (math.nan, 0.0), "finite and positive"),
+        ("YX", (1.0, 0.0), "finite and positive"),
+        ("YX", (-1.0, 1.0), "finite and positive"),
+        ("YX", (1.0, math.inf), "finite and positive"),
+        ("TYX", (1.0,), "1 entries for 2 spatial axes"),
+        ("TYX", (1.0, 1.0, 1.0), "3 entries for 2 spatial axes"),
+    ])
+    def test_bad_spacing_rejected_before_any_file(self, tmp_path, order, spacing, match):
+        p = tmp_path / "bad.raw"
+        with pytest.raises(ValueError, match=match):
+            write_tensor(p, np.zeros((2,) * len(order)), axis_order=order, spacing_mm=spacing)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _entry(seed, direction="nce_to_ce", psnr=None):

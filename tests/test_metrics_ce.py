@@ -78,6 +78,31 @@ class TestDetectCE:
         ce = detect_ce(VolumeSequence(frames), baseline_index=1, threshold=20.0)
         assert ce.mask.all()
 
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_voxelwise_oracle_bit_for_bit(self, data):
+        n_frames = data.draw(st.integers(2, 6))
+        spatial = data.draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+        # full-mantissa values, so sums in another order round differently
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        frames = rng.normal(data.draw(st.floats(-1e6, 1e6)), scale, (n_frames, *spatial))
+        baseline = data.draw(st.integers(0, n_frames - 1))
+        reverse = data.draw(st.booleans())
+        signed = -frames if reverse else frames
+        # the exact mean rise of one voxel, summed in time order as the oracle
+        # does: a mean one ulp off flips that voxel at this threshold
+        pos = tuple(data.draw(st.integers(0, n - 1)) for n in spatial)
+        rise = 0.0
+        for t in range(n_frames):
+            if t != baseline:
+                rise += signed[(t, *pos)] - signed[(baseline, *pos)]
+        rise /= n_frames - 1
+        threshold = data.draw(st.sampled_from([rise, np.nextafter(rise, -np.inf)]))
+        ce = detect_ce(VolumeSequence(frames), baseline, threshold, signed_reverse=reverse)
+        npt.assert_array_equal(ce.mask, voxelwise_ce_mask(signed, baseline, threshold))
+        assert ce.mask[pos] == (threshold != rise)
+
     def test_overflow_named_instead_of_a_wrong_mask(self):
         # the true mean rise is -2, but a running sum reaches inf before the
         # negative frames, which flagged every voxel

@@ -19,6 +19,7 @@ from dcemetrics.metrics import (
     cw_ssim,
     detect_ce,
     distance_map,
+    distance_transform,
     evaluate_triple,
     invert_map,
     ms_ssim,
@@ -26,7 +27,7 @@ from dcemetrics.metrics import (
     psnr,
     ssim,
 )
-from dcemetrics.tensor import VolumeSequence
+from dcemetrics.tensor import GaussianWindow, VolumeSequence, windowed_moments
 from oracles import naive_ms_ssim, naive_ssim
 
 
@@ -571,3 +572,50 @@ class TestEvaluateTriple:
         assert d["psnr_style_vs_gen"] is None
         assert d["psnr_infinite"] is True
         assert MetricReport.from_dict(d).psnr_style_vs_gen == math.inf
+
+
+class TestInputsUntouched:
+    """Score arithmetic runs in place only on buffers the call itself made."""
+
+    @staticmethod
+    def _unchanged(held, call):
+        """``call()``, asserting every array in ``held`` keeps its bytes."""
+        before = [a.tobytes() for a in held]
+        result = call()
+        assert [a.tobytes() for a in held] == before
+        return result
+
+    @pytest.mark.parametrize("shape, slice_mode", [
+        ((24, 24), "3d"), ((12, 24, 24), "3d"), ((12, 24, 24), "2d"),
+    ])
+    def test_evaluate_triple(self, shape, slice_mode):
+        # content is a view of the mask sequence's baseline frame
+        seq, g, c, s = TestEvaluateTriple()._sequence_and_triple(70, shape)
+        params = EvalParams(slice_mode=slice_mode)
+        self._unchanged([seq.frames, g, c, s], lambda: evaluate_triple(g, c, s, seq, params))
+
+    def test_ce_and_weight_maps(self):
+        seq, g, c, s = TestEvaluateTriple()._sequence_and_triple(71, (24, 24))
+        for reverse in (False, True):
+            self._unchanged([seq.frames], lambda: detect_ce(seq, 1, -20.0, reverse))
+        ce = detect_ce(seq)
+        dm = self._unchanged([ce.mask], lambda: distance_map(ce))
+        npt.assert_array_equal(dm.distances, distance_transform(ce.mask))
+        inv = self._unchanged([dm.weights, dm.distances], lambda: invert_map(dm))
+        assert inv.distances is dm.distances
+        held = [g, c, s, dm.weights, inv.weights, dm.distances]
+        self._unchanged(held, lambda: cw_ssim(g, c, dm, mode="content"))
+        self._unchanged(held, lambda: cw_ssim(g, s, inv, mode="style"))
+
+    @pytest.mark.parametrize("shape", [(48, 48), (12, 24, 24)])
+    def test_moments_and_ssim_family(self, shape):
+        x, y = _image(72, shape), _image(73, shape)
+        window = GaussianWindow.for_shape(shape)
+        held = [x, y, *window.taps]
+        m = self._unchanged(held, lambda: windowed_moments(x, y, window))
+        # a later call, and the scores built on fresh moments, leave these alone
+        held += list(m)
+        self._unchanged(held, lambda: windowed_moments(y, x, window))
+        self._unchanged(held, lambda: ssim(x, y))
+        self._unchanged(held, lambda: ms_ssim(x, y))
+        self._unchanged(held, lambda: ms_ssim(x, y, MSSSIMParams(per_slice=True)))
