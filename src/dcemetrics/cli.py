@@ -11,7 +11,6 @@ version, so a result file always says how it was produced.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 from . import __version__
 from .io import (
     TensorFileError,
+    _read_json,
     _timestamp,
     canonical_bytes,
     export_csv,
@@ -53,12 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _provenance(command: str, seed=None, **parameters) -> dict:
+#: parsed flags that name no parameter: the command itself, its outputs, the seed
+_NOT_PARAMETERS = {"command", "subcommand", "func", "out", "out_dir", "seed"}
+
+
+def _provenance(args, seed=None) -> dict:
+    """The command, every parsed flag but outputs and seed, the seed and the version."""
     return {
-        "command": command,
+        "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
         "version": __version__,
         "seed": seed,
-        "parameters": parameters,
+        "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
     }
 
 
@@ -81,17 +86,12 @@ def _load_mask(path) -> np.ndarray:
 
 
 def _cmd_phantom_gen(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec_dict = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise TensorFileError(f"spec {args.spec} is not valid JSON: {e}")
-    spec = PhantomSpec.from_dict(spec_dict)
+    spec = PhantomSpec.from_dict(_read_json(args.spec_file, "spec"))
     out = generate(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    prov = _provenance("phantom gen", seed=spec.seed, spec_file=str(args.spec))
+    prov = _provenance(args, seed=spec.seed)
     order = "TZYX" if len(spec.grid) == 3 else "TYX"
     write_tensor(
         out_dir / "sequence.raw",
@@ -128,18 +128,11 @@ def _cmd_cemask(args) -> int:
         threshold=args.threshold,
         signed_reverse=args.signed_reverse,
     )
-    prov = _provenance(
-        "cemask",
-        threshold=args.threshold,
-        baseline=args.baseline,
-        signed_reverse=args.signed_reverse,
-        seq=str(args.seq),
-    )
     write_tensor(
         args.out,
         ce.mask.astype(np.float64),
         spacing_mm=seq.spacing_mm,
-        provenance=prov,
+        provenance=_provenance(args),
     )
     print(f"wrote {args.out} ({int(ce.mask.sum())} enhancing voxels)")
     return 0
@@ -155,10 +148,7 @@ def _cmd_distmap(args) -> int:
     )
     if args.invert:
         dm = invert_map(dm)
-    prov = _provenance(
-        "distmap", mask=str(args.mask), invert=args.invert, mode=args.mode
-    )
-    write_tensor(args.out, dm.weights, spacing_mm=spacing, provenance=prov)
+    write_tensor(args.out, dm.weights, spacing_mm=spacing, provenance=_provenance(args))
     print(f"wrote {args.out} (inverted={dm.inverted})")
     return 0
 
@@ -187,20 +177,7 @@ def _cmd_metrics(args) -> int:
         direction=args.direction,
     )
     entry = evaluate_triple(generated, content, style, seq, params)
-    prov = _provenance(
-        "metrics",
-        generated=str(args.generated),
-        content=str(args.content),
-        style=str(args.style),
-        seq=str(args.seq),
-        threshold=args.threshold,
-        baseline=args.baseline,
-        mode=args.mode,
-        peak=args.peak,
-        direction=args.direction,
-    )
-    report = make_report([entry], prov)
-    write_report(args.out, report)
+    write_report(args.out, make_report([entry], _provenance(args)))
     for name in METRIC_FIELDS:
         print(f"{name}: {getattr(entry, name)}")
     print(f"wrote {args.out}")
@@ -211,7 +188,7 @@ def _cmd_gradcheck(args) -> int:
     reports = run_grad_checks(args.seed)
     payload = {
         "checks": [r.to_dict() for r in reports],
-        "provenance": _provenance("gradcheck", seed=args.seed),
+        "provenance": _provenance(args, seed=args.seed),
         "generated_at": _timestamp(),
     }
     if args.out:
@@ -255,7 +232,7 @@ def build_parser() -> _Parser:
         dest="subcommand", required=True, parser_class=_Parser
     )
     p_gen = phantom_sub.add_parser("gen", help="render a phantom sequence")
-    p_gen.add_argument("--spec", required=True, help="JSON phantom spec file")
+    p_gen.add_argument("--spec", dest="spec_file", required=True, help="JSON phantom spec file")
     p_gen.add_argument("--out-dir", required=True, help="output directory")
     p_gen.set_defaults(func=_cmd_phantom_gen)
 

@@ -4,7 +4,8 @@ Tensors travel as two files: a raw little-endian float32 payload and a
 JSON sidecar at ``<payload path>.json`` carrying dims, axis order, dtype
 tag and optional voxel spacing.  Reports, also the CLI's phantom truth and
 gradcheck files, are JSON; their canonical byte form excludes the
-``generated_at`` timestamp so identical runs compare byte for byte.
+``generated_at`` timestamp so identical runs compare byte for byte.  Every
+JSON file, sidecars included, goes through ``write_report`` and ``_read_json``.
 """
 
 from __future__ import annotations
@@ -77,26 +78,26 @@ def write_tensor(
     if provenance is not None:
         header["provenance"] = provenance
     payload = data.astype("<f4").tobytes(order="C")
+    write_report(_sidecar_path(path), header)  # serializes before opening either file
     with open(path, "wb") as fh:
         fh.write(payload)
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def read_header(path) -> dict:
-    try:
-        with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-    except FileNotFoundError:
-        raise TensorFileError(f"missing sidecar {_sidecar_path(path)}")
-    except json.JSONDecodeError as e:
-        raise TensorFileError(f"sidecar {_sidecar_path(path)} is not valid JSON: {e}")
+    """A tensor's sidecar, once its dims, axis order and dtype are well formed."""
+    header = _read_json(_sidecar_path(path), "sidecar")
     for key in ("dims", "axis_order", "dtype"):
         if key not in header:
             raise TensorFileError(f"sidecar missing required field {key!r}")
     if header["dtype"] != "f32":
         raise TensorFileError(f"unsupported dtype {header['dtype']!r}")
+    dims, order = header["dims"], header["axis_order"]
+    if not (isinstance(dims, list) and all(type(n) is int and n >= 0 for n in dims)):
+        raise TensorFileError(f"sidecar dims must be non-negative integers, got {dims!r}")
+    if not (isinstance(order, str) and len(order) == len(dims)):
+        raise TensorFileError(
+            f"sidecar axis_order must have one letter per dim, got {order!r} for dims {dims}"
+        )
     return header
 
 
@@ -107,8 +108,8 @@ def read_tensor(path) -> TensorND:
     payload and any NaN in the stream are rejected with exact offsets.
     """
     header = read_header(path)
-    dims = tuple(int(d) for d in header["dims"])
-    expected = 4 * int(np.prod(dims)) if dims else 4
+    dims = tuple(header["dims"])
+    expected = 4 * math.prod(dims)
     try:
         with open(path, "rb") as fh:
             payload = fh.read()
@@ -128,7 +129,21 @@ def read_tensor(path) -> TensorND:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# JSON files and reports
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in ``path``; anything else raises ``TensorFileError`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        raise TensorFileError(f"missing {what} {path}")
+    except ValueError as e:  # invalid JSON or invalid UTF-8
+        raise TensorFileError(f"{what} {path} is not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise TensorFileError(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _timestamp() -> str:
@@ -181,19 +196,14 @@ def canonical_bytes(report: dict) -> bytes:
 
 
 def write_report(path, report: dict) -> None:
+    """Indented JSON with sorted keys; NaN or infinity raises ``ValueError`` before ``path`` opens."""
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_report(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except FileNotFoundError:
-        raise TensorFileError(f"missing report {path}")
-    except json.JSONDecodeError as e:
-        raise TensorFileError(f"report {path} is not valid JSON: {e}")
+    report = _read_json(path, "report")
     if "entries" not in report:
         raise TensorFileError(f"report {path} has no entries field")
     return report
@@ -207,12 +217,7 @@ def merge_reports(reports: list[dict]) -> dict:
         entries.extend(MetricReport.from_dict(d) for d in rep["entries"])
         if rep.get("provenance"):
             sources.append(rep["provenance"])
-    return {
-        "entries": [e.to_dict() for e in entries],
-        "aggregates": aggregate(entries),
-        "provenance": {"merged_from": len(reports), "sources": sources},
-        "generated_at": _timestamp(),
-    }
+    return make_report(entries, {"merged_from": len(reports), "sources": sources})
 
 
 def export_csv(report: dict, path) -> None:

@@ -27,6 +27,7 @@ import logging
 import math
 import warnings
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,9 +188,12 @@ def detect_ce(
     frame; a voxel enhances when the average difference is strictly above
     the threshold.  Enhancement means signal increase, so the difference is
     frame - baseline; ``signed_reverse`` flips the sign for data where
-    enhancement darkens the image.  A difference or mean that overflows
-    float64 raises ``ValueError`` naming the sequence.
+    enhancement darkens the image.  A non-finite threshold raises
+    ``ValueError``, as does a difference or mean that overflows float64,
+    naming the sequence.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     frames = seq.frames if isinstance(seq, VolumeSequence) else as_f64(seq, "sequence")
     if frames.shape[0] < 2:
         raise ValueError("CE detection needs at least two frames")
@@ -292,12 +296,16 @@ def _resolve_range(reference: np.ndarray, data_range) -> float:
     return float(data_range)
 
 
+_in_named_overflow = ContextVar("_in_named_overflow", default=False)
+
+
 @contextmanager
 def _named_overflow(**inputs):
     """Raise a float64 overflow in the block as a ValueError naming the largest input."""
-    if np.geterr()["over"] == "raise":  # nested: the enclosing block names its caller's inputs
+    if _in_named_overflow.get():  # nested: the enclosing block names its caller's inputs
         yield
         return
+    token = _in_named_overflow.set(True)
     try:
         with np.errstate(over="raise"):
             yield
@@ -305,6 +313,8 @@ def _named_overflow(**inputs):
         name = max(inputs, key=lambda k: np.abs(inputs[k]).max())
         raise ValueError(f"{name} is too large to score: float64 overflows on its "
                          f"values; rescale the inputs") from None
+    finally:
+        _in_named_overflow.reset(token)
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:

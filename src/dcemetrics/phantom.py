@@ -9,12 +9,36 @@ a spec has motion, by the first shifted frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .metrics import CEMask
 from .tensor import VolumeSequence, check_spacing
+
+
+def _store_floats(obj, scalars=(), vectors=()) -> None:
+    """Store named fields as floats, ``vectors`` as tuples of floats; each must be finite."""
+    for name in (*scalars, *vectors):
+        value = getattr(obj, name)
+        value = tuple(float(v) for v in value) if name in vectors else float(value)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, value)
+
+
+def _check_keys(cls, d) -> dict:
+    """``d`` itself, once it is an object with every required field of ``cls`` and no other key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(d).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys {unknown}; the fields are {names}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"{cls.__name__} is missing required keys {missing}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -34,8 +58,8 @@ class Region:
     beta: float = 1.5
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
+        _store_floats(self, ("baseline", "amplitude", "onset", "alpha", "beta"),
+                      vectors=("center", "radii"))
         if len(self.center) != len(self.radii):
             raise ValueError("center and radii must have the same rank")
         if any(r <= 0 for r in self.radii):
@@ -47,28 +71,11 @@ class Region:
         if self.onset < 0:
             raise ValueError("onset must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "radii": list(self.radii),
-            "baseline": self.baseline,
-            "amplitude": self.amplitude,
-            "onset": self.onset,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d: dict) -> "Region":
-        return cls(
-            tuple(d["center"]),
-            tuple(d["radii"]),
-            float(d["baseline"]),
-            float(d.get("amplitude", 0.0)),
-            float(d.get("onset", 0.0)),
-            float(d.get("alpha", 3.0)),
-            float(d.get("beta", 1.5)),
-        )
+        return cls(**_check_keys(cls, d))
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,9 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
         object.__setattr__(self, "regions", tuple(self.regions))
+        for name, cast in (("n_frames", int), ("seed", int), ("rician", bool)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        _store_floats(self, ("noise_sigma", "motion", "background"))
         if len(self.grid) not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got {self.grid}")
         if any(n < 1 for n in self.grid):
@@ -106,32 +116,12 @@ class PhantomSpec:
             sp = check_spacing(self.spacing_mm, len(self.grid), "spacing_mm")
             object.__setattr__(self, "spacing_mm", sp)
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "regions": [r.to_dict() for r in self.regions],
-            "n_frames": self.n_frames,
-            "noise_sigma": self.noise_sigma,
-            "motion": self.motion,
-            "seed": self.seed,
-            "rician": self.rician,
-            "background": self.background,
-            "spacing_mm": list(self.spacing_mm) if self.spacing_mm else None,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
-        return cls(
-            grid=tuple(d["grid"]),
-            regions=tuple(Region.from_dict(r) for r in d["regions"]),
-            n_frames=int(d.get("n_frames", 5)),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            motion=float(d.get("motion", 0.0)),
-            seed=int(d.get("seed", 0)),
-            rician=bool(d.get("rician", False)),
-            background=float(d.get("background", 0.0)),
-            spacing_mm=tuple(d["spacing_mm"]) if d.get("spacing_mm") else None,
-        )
+        d = _check_keys(cls, d)
+        return cls(**{**d, "regions": tuple(Region.from_dict(r) for r in d["regions"])})
 
 
 @dataclass(frozen=True)

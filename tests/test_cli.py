@@ -1,35 +1,39 @@
+import copy
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from dcemetrics import __version__
 from dcemetrics.cli import main
-from dcemetrics.io import canonical_bytes, read_report, read_tensor, write_tensor
+from dcemetrics.io import canonical_bytes, read_header, read_report, read_tensor, write_tensor
 from dcemetrics.phantom import PhantomSpec, Region, generate, make_triple
+
+SPEC = {
+    "grid": [24, 24],
+    "regions": [
+        {"center": [8, 8], "radii": [4, 4], "baseline": 80.0},
+        {
+            "center": [16, 15],
+            "radii": [5, 4],
+            "baseline": 60.0,
+            "amplitude": 100.0,
+            "onset": 0.5,
+        },
+    ],
+    "n_frames": 5,
+    "background": 20.0,
+    "seed": 11,
+}
 
 
 @pytest.fixture
 def phantom_spec_file(tmp_path):
-    spec = {
-        "grid": [24, 24],
-        "regions": [
-            {"center": [8, 8], "radii": [4, 4], "baseline": 80.0},
-            {
-                "center": [16, 15],
-                "radii": [5, 4],
-                "baseline": 60.0,
-                "amplitude": 100.0,
-                "onset": 0.5,
-            },
-        ],
-        "n_frames": 5,
-        "background": 20.0,
-        "seed": 11,
-    }
     p = tmp_path / "spec.json"
-    p.write_text(json.dumps(spec))
-    return p, PhantomSpec.from_dict(spec)
+    p.write_text(json.dumps(SPEC))
+    return p, PhantomSpec.from_dict(SPEC)
 
 
 def _gen_phantom(tmp_path, spec_file):
@@ -65,6 +69,44 @@ class TestPhantomGen:
         rc = main(["phantom", "gen", "--spec", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("field", [
+        "center", "radii", "baseline", "amplitude", "onset", "alpha", "beta",
+        "noise_sigma", "motion", "background",
+    ])
+    def test_non_finite_field_exits_1_without_output(self, tmp_path, capsys, field):
+        # unchecked, a NaN radius erases the enhancing region and a NaN onset flattens its curve
+        spec = copy.deepcopy(SPEC)
+        owner = spec if field in ("noise_sigma", "motion", "background") else spec["regions"][1]
+        owner[field] = [math.nan, 4.0] if field in ("center", "radii") else math.nan
+        rc, out_dir = _gen_from(tmp_path, spec)
+        assert rc == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(noise_sigam=2.0), "unknown PhantomSpec keys ['noise_sigam']"),
+        (lambda d: d["regions"][1].update(amplitdue=1.0), "unknown Region keys ['amplitdue']"),
+        (lambda d: d.pop("regions"), "PhantomSpec is missing required keys ['regions']"),
+        (lambda d: d["regions"][0].pop("baseline"), "Region is missing required keys ['baseline']"),
+        (lambda d: d.update(spacing_mm=[]), "spacing_mm has 0 entries for 2 spatial axes"),
+    ], ids=["unknown-spec-key", "unknown-region-key", "missing-spec-key", "missing-region-key",
+            "empty-spacing"])
+    def test_spec_keys_must_be_fields(self, tmp_path, capsys, edit, message):
+        # unchecked, a misspelled key is ignored and a missing one crashes with a KeyError
+        spec = copy.deepcopy(SPEC)
+        edit(spec)
+        rc, out_dir = _gen_from(tmp_path, spec)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def _gen_from(tmp_path, spec: dict):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    return main(["phantom", "gen", "--spec", str(spec_file), "--out-dir", str(out_dir)]), out_dir
+
 
 class TestCEMask:
     def test_recovers_truth_mask(self, tmp_path, phantom_spec_file):
@@ -89,6 +131,15 @@ class TestCEMask:
     def test_missing_sequence(self, tmp_path):
         rc = main(["cemask", "--seq", str(tmp_path / "gone.raw"), "--out", str(tmp_path / "m.raw")])
         assert rc == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_1(self, tmp_path, phantom_spec_file, capsys, threshold):
+        out_dir = _gen_phantom(tmp_path, phantom_spec_file[0])
+        mask_path = tmp_path / "mask.raw"
+        argv = ["cemask", "--seq", str(out_dir / "sequence.raw"), "--out", str(mask_path)]
+        assert main([*argv, f"--threshold={threshold}"]) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not mask_path.exists() and not (tmp_path / "mask.raw.json").exists()
 
 
 class TestDistMap:
@@ -135,6 +186,23 @@ class TestDistMap:
         wpath = tmp_path / "w.raw"
         assert main(["distmap", "--mask", str(mpath), "--out", str(wpath)]) == 1
         assert message in capsys.readouterr().err
+        assert not wpath.exists() and not (tmp_path / "w.raw.json").exists()
+
+
+    @pytest.mark.parametrize("sidecar", [
+        {"dims": [4, 4], "axis_order": "Y", "dtype": "f32"},
+        {"dims": [-4, -4], "axis_order": "YX", "dtype": "f32"},
+        {"dims": ["a", 4], "axis_order": "YX", "dtype": "f32"},
+        "dims, axis_order, dtype",  # passes a key check by substring
+        [4, 4],
+    ], ids=["short-axis-order", "negative-dims", "string-dims", "json-string", "json-list"])
+    def test_corrupt_sidecar_exits_2(self, tmp_path, capsys, sidecar):
+        mpath = tmp_path / "mask.raw"
+        write_tensor(mpath, np.eye(4))
+        (tmp_path / "mask.raw.json").write_text(json.dumps(sidecar))
+        wpath = tmp_path / "w.raw"
+        assert main(["distmap", "--mask", str(mpath), "--out", str(wpath)]) == 2
+        assert "sidecar" in capsys.readouterr().err
         assert not wpath.exists() and not (tmp_path / "w.raw.json").exists()
 
 
@@ -264,6 +332,18 @@ class TestMetrics:
         note = "no CE voxels" if rise == 0.0 else "every voxel detected as CE"
         assert any(n.startswith(note) for n in read_report(out)["entries"][0]["notes"])
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_1(self, tmp_path, phantom_spec_file, capsys, threshold):
+        # unchecked, nan and inf score against an empty mask and -inf against an all-CE one
+        paths = self._setup(tmp_path, phantom_spec_file[1])
+        out = tmp_path / "r.json"
+        argv = ["metrics", "--out", str(out), f"--threshold={threshold}"]
+        for name in ("generated", "content", "style", "seq"):
+            argv += [f"--{name}", str(paths[name])]
+        assert main(argv) == 1
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_peak_flag(self, tmp_path, phantom_spec_file):
         _, spec = phantom_spec_file
         paths = self._setup(tmp_path, spec)
@@ -351,6 +431,59 @@ class TestReportMerge:
             ["report", "merge", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m.json")]
         )
         assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["phantom gen", "report merge"])
+@pytest.mark.parametrize("content", ['"a JSON string"', "[1, 2]", "{not json"])
+def test_json_file_that_is_no_object_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    out = tmp_path / "out"
+    argv = {"phantom gen": ["phantom", "gen", "--spec", str(path), "--out-dir", str(out)],
+            "report merge": ["report", "merge", str(path), "--out", str(out)]}[command]
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_provenance_records_every_parsed_parameter(tmp_path, phantom_spec_file):
+    """Each command's provenance: its flags except outputs and seed, plus seed and version."""
+    spec_file, spec = phantom_spec_file
+
+    def prov(command, seed=None, **parameters):
+        return {"command": command, "version": __version__, "seed": seed,
+                "parameters": parameters}
+
+    out_dir = _gen_phantom(tmp_path, spec_file)
+    seq = str(out_dir / "sequence.raw")
+    expected = prov("phantom gen", seed=11, spec_file=str(spec_file))
+    assert json.loads((out_dir / "truth.json").read_text())["provenance"] == expected
+    for name in ("sequence.raw", "truth_mask.raw"):
+        assert read_header(out_dir / name)["provenance"] == expected
+
+    mask = str(tmp_path / "ce.raw")
+    assert main(["cemask", "--seq", seq, "--out", mask, "--baseline", "1"]) == 0
+    assert read_header(mask)["provenance"] == prov(
+        "cemask", seq=seq, threshold=20.0, baseline=1, signed_reverse=False)
+
+    weights = tmp_path / "w.raw"
+    assert main(["distmap", "--mask", mask, "--out", str(weights), "--invert"]) == 0
+    assert read_header(weights)["provenance"] == prov(
+        "distmap", mask=mask, invert=True, mode="voxel")
+
+    paths = {k: str(v) for k, v in TestMetrics()._setup(tmp_path, spec).items()}
+    report = tmp_path / "r.json"
+    argv = ["metrics", "--out", str(report), "--peak", "300", "--mode", "2d"]
+    for name in ("generated", "content", "style", "seq"):
+        argv += [f"--{name}", paths[name]]
+    assert main(argv) == 0
+    assert read_report(report)["provenance"] == prov(
+        "metrics", **paths, threshold=20.0, baseline=0, mode="2d", peak="300",
+        direction="nce_to_ce")
+
+    grad = tmp_path / "grad.json"
+    assert main(["gradcheck", "--seed", "3", "--out", str(grad)]) == 0
+    assert json.loads(grad.read_text())["provenance"] == prov("gradcheck", seed=3)
 
 
 class TestUsageErrors:

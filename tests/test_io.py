@@ -276,6 +276,25 @@ class TestReports:
         assert lines[0].startswith("direction,psnr_style_vs_gen")
         assert ",True," in lines[2] or lines[2].endswith("True,")
 
+    def test_non_finite_report_raises_before_any_file(self, tmp_path):
+        # serializing while writing would leave a truncated file behind
+        p = tmp_path / "r.json"
+        report = make_report([_entry(0)], {"threshold": math.nan})
+        with pytest.raises(ValueError, match="JSON"):
+            write_report(p, report)
+        assert not p.exists()
+        t = tmp_path / "t.raw"
+        with pytest.raises(ValueError, match="JSON"):
+            write_tensor(t, np.zeros((2, 2)), provenance={"threshold": math.nan})
+        assert not t.exists() and not (tmp_path / "t.raw.json").exists()
+
+    @pytest.mark.parametrize("content", ['"entries"', '["entries"]', "{", "\xff"])
+    def test_read_report_needs_a_json_object(self, tmp_path, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content.encode("latin-1"))
+        with pytest.raises(TensorFileError, match="JSON"):
+            read_report(p)
+
     def test_read_report_requires_entries(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{}")

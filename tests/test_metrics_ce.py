@@ -108,8 +108,15 @@ class TestDetectCE:
         # negative frames, which flagged every voxel
         frames = np.zeros((6, 2, 2))
         frames[1:] = np.array([1e308, 1e308, -1e308, -1e308, -10.0])[:, None, None]
-        with pytest.raises(ValueError, match="^sequence is too large to score"):
-            detect_ce(VolumeSequence(frames))
+        for state in ({}, {"over": "raise"}):  # numpy's default, and a caller's error state
+            with np.errstate(**state), pytest.raises(
+                    ValueError, match="^sequence is too large to score"):
+                detect_ce(VolumeSequence(frames))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must be finite"):
+            detect_ce(VolumeSequence(np.zeros((3, 4, 4))), threshold=threshold)
 
 
 class TestDistanceTransform:

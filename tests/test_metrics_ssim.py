@@ -31,6 +31,11 @@ from dcemetrics.tensor import GaussianWindow, VolumeSequence, windowed_moments
 from oracles import naive_ms_ssim, naive_ssim
 
 
+# numpy's error state as a caller may leave it: the default, and raising on
+# overflow; an overflow must be named the same way under both
+CALLER_ERRSTATES = ({}, {"over": "raise"})
+
+
 def _image(seed, shape=(32, 32), lo=0.0, hi=255.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=shape)
@@ -136,14 +141,17 @@ class TestSSIM:
         dm = distance_map(x > 0.5)
         fn = {"ssim": ssim, "ms_ssim": ms_ssim,
               "cw_ssim": lambda a, b, p: cw_ssim(a, b, dm, p)}[score]
-        with pytest.raises(ValueError, match="^x is too large to score"):
-            fn(x * 1e155, x, MSSSIMParams())  # auto range 1e155 still has finite constants
-        with pytest.raises(ValueError, match="^y is too large to score"):
-            fn(x, x * 1e155, MSSSIMParams(data_range=1.0))
-        for data_range in (None, 1e160, math.inf, math.nan):
-            with pytest.raises(ValueError, match="^data_range"):
-                fn(x * 1e160, x, MSSSIMParams(data_range=data_range))
-        assert fn(x * 1e150, x * 1e150, MSSSIMParams()) == pytest.approx(1.0, abs=1e-12)
+        for state in CALLER_ERRSTATES:
+            with np.errstate(**state):
+                with pytest.raises(ValueError, match="^x is too large to score"):
+                    fn(x * 1e155, x, MSSSIMParams())  # auto range 1e155: finite constants
+                with pytest.raises(ValueError, match="^y is too large to score"):
+                    fn(x, x * 1e155, MSSSIMParams(data_range=1.0))
+                for data_range in (None, 1e160, math.inf, math.nan):
+                    with pytest.raises(ValueError, match="^data_range"):
+                        fn(x * 1e160, x, MSSSIMParams(data_range=data_range))
+                score_1e150 = fn(x * 1e150, x * 1e150, MSSSIMParams())
+                assert score_1e150 == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -308,13 +316,17 @@ class TestPSNR:
     def test_overflow_names_input_or_peak(self):
         x = _image(56, lo=0.0, hi=1.0)
         # peak^2 is finite here, but the sum of squared errors overflows
-        with pytest.raises(ValueError, match="^reference is too large to score"):
-            psnr(x * 6e153, np.zeros_like(x))
-        with pytest.raises(ValueError, match="^test is too large to score"):
-            psnr(x, x * 1e160, peak=1.0)
-        for peak in (None, 1e155, math.inf, math.nan):
-            with pytest.raises(ValueError, match="^peak"):
-                psnr(x * 1e155, x, peak=peak)
+        for state in CALLER_ERRSTATES:
+            with np.errstate(**state):
+                with pytest.raises(ValueError, match="^reference is too large to score"):
+                    psnr(x * 6e153, np.zeros_like(x))
+                with pytest.raises(ValueError, match="^reference is too large to score"):
+                    psnr(x * 1e200, x, peak=1.0)
+                with pytest.raises(ValueError, match="^test is too large to score"):
+                    psnr(x, x * 1e160, peak=1.0)
+                for peak in (None, 1e155, math.inf, math.nan):
+                    with pytest.raises(ValueError, match="^peak"):
+                        psnr(x * 1e155, x, peak=peak)
 
 
 class TestEvaluateTriple:
@@ -438,16 +450,27 @@ class TestEvaluateTriple:
         seq, *triple = self._sequence_and_triple(71)
         names = ("generated", "content", "style")
         triple[names.index(culprit)] = triple[names.index(culprit)] * 1e153
-        with pytest.raises(ValueError, match=f"^{culprit} is too large to score"):
-            evaluate_triple(*triple, seq, EvalParams(data_range=100.0, peak=100.0))
+        for state in CALLER_ERRSTATES:
+            with np.errstate(**state), pytest.raises(
+                    ValueError, match=f"^{culprit} is too large to score"):
+                evaluate_triple(*triple, seq, EvalParams(data_range=100.0, peak=100.0))
 
     def test_overflowing_mask_sequence_named(self):
         # CE detection's mean rise overflows; it must not score with a wrong mask
         _, g, c, s = self._sequence_and_triple(72)
         frames = np.zeros((6,) + g.shape)
         frames[1:] = np.array([1e308, 1e308, -1e308, -1e308, -10.0])[:, None, None]
-        with pytest.raises(ValueError, match="^sequence is too large to score"):
-            evaluate_triple(g, c, s, VolumeSequence(frames))
+        for state in CALLER_ERRSTATES:
+            with np.errstate(**state), pytest.raises(
+                    ValueError, match="^sequence is too large to score"):
+                evaluate_triple(g, c, s, VolumeSequence(frames))
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # unchecked, nan and +inf give an empty mask and -inf flags every voxel
+        seq, g, c, s = self._sequence_and_triple(73)
+        with pytest.raises(ValueError, match="^threshold must be finite"):
+            evaluate_triple(g, c, s, seq, EvalParams(threshold=threshold))
 
     @pytest.mark.parametrize("name", ["data_range", "peak"])
     def test_overflowing_range_or_peak_rejected(self, name):

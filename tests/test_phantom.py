@@ -68,6 +68,34 @@ class TestValidation:
         spec = _basic_spec(noise_sigma=3.0, spacing_mm=(1.12, 1.12))
         assert PhantomSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", [
+        "center", "radii", "baseline", "amplitude", "onset", "alpha", "beta",
+    ])
+    def test_non_finite_region_field_rejected(self, field, bad):
+        fields = dict(center=(10.0, 10.0), radii=(5.0, 6.0), baseline=80.0, amplitude=100.0)
+        fields[field] = (bad, 5.0) if field in ("center", "radii") else bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Region(**fields)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["noise_sigma", "motion", "background"])
+    def test_non_finite_spec_field_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            _basic_spec(**{field: bad})
+
+    def test_from_dict_coerces_types(self):
+        d = _basic_spec().to_dict()
+        spec = PhantomSpec.from_dict({**d, "noise_sigma": 2, "n_frames": 6.0, "rician": 1})
+        assert (spec.noise_sigma, spec.n_frames, spec.rician) == (2.0, 6, True)
+        assert [type(v) for v in (spec.noise_sigma, spec.n_frames, spec.rician)] == [
+            float, int, bool]
+
+    @pytest.mark.parametrize("d", ["spec", [1, 2], None])
+    def test_from_dict_needs_an_object(self, d):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            PhantomSpec.from_dict(d)
+
 
 class TestGammaVariate:
     def test_zero_before_onset(self):
