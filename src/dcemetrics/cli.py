@@ -73,8 +73,7 @@ def _load_sequence(path) -> VolumeSequence:
         raise ValueError(
             f"sequence tensor must be (T, Y, X) or (T, Z, Y, X), got rank {t.ndim}"
         )
-    spacing = read_header(path).get("spacing_mm")
-    return VolumeSequence(t.data, spacing_mm=tuple(spacing) if spacing else None)
+    return VolumeSequence(t, spacing_mm=read_header(path).get("spacing_mm"))
 
 
 def _load_mask(path) -> np.ndarray:
@@ -141,11 +140,7 @@ def _cmd_cemask(args) -> int:
 def _cmd_distmap(args) -> int:
     mask = _load_mask(args.mask)
     spacing = read_header(args.mask).get("spacing_mm")
-    dm = distance_map(
-        mask,
-        spacing=tuple(spacing) if spacing else None,
-        mode=args.mode,
-    )
+    dm = distance_map(mask, spacing=spacing, mode=args.mode)
     if args.invert:
         dm = invert_map(dm)
     write_tensor(args.out, dm.weights, spacing_mm=spacing, provenance=_provenance(args))
@@ -161,12 +156,8 @@ def _cmd_metrics(args) -> int:
             peak = float(args.peak)
         except ValueError:
             raise ValueError(f"--peak must be 'auto' or a number, got {args.peak!r}")
-        if peak <= 0:
-            raise ValueError("--peak must be positive")
 
-    generated = read_tensor(args.generated).data
-    content = read_tensor(args.content).data
-    style = read_tensor(args.style).data
+    triple = [read_tensor(path) for path in (args.generated, args.content, args.style)]
     seq = _load_sequence(args.seq)
 
     params = EvalParams(
@@ -176,7 +167,7 @@ def _cmd_metrics(args) -> int:
         peak=peak,
         direction=args.direction,
     )
-    entry = evaluate_triple(generated, content, style, seq, params)
+    entry = evaluate_triple(*triple, seq, params)
     write_report(args.out, make_report([entry], _provenance(args)))
     for name in METRIC_FIELDS:
         print(f"{name}: {getattr(entry, name)}")

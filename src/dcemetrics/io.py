@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -84,7 +85,7 @@ def write_tensor(
 
 
 def read_header(path) -> dict:
-    """A tensor's sidecar, once its dims, axis order and dtype are well formed."""
+    """A tensor's sidecar, once its dims, axis order, dtype and any spacing are well formed."""
     header = _read_json(_sidecar_path(path), "sidecar")
     for key in ("dims", "axis_order", "dtype"):
         if key not in header:
@@ -98,6 +99,8 @@ def read_header(path) -> dict:
         raise TensorFileError(
             f"sidecar axis_order must have one letter per dim, got {order!r} for dims {dims}"
         )
+    if header.get("spacing_mm") is not None:
+        check_spacing(header["spacing_mm"], len(order) - order.count("T"), "spacing_mm")
     return header
 
 
@@ -124,8 +127,7 @@ def read_tensor(path) -> TensorND:
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise TensorFileError(f"payload contains a non-finite value at flat offset {int(bad[0])}")
-    labels = tuple(header["axis_order"])
-    return TensorND.from_flat(flat, dims, axis_labels=labels)
+    return TensorND(flat.reshape(dims), tuple(header["axis_order"]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +204,41 @@ def write_report(path, report: dict) -> None:
         fh.write(text + "\n")
 
 
+def _bad_entry_key(entry: dict) -> str | None:
+    """The first key of a report entry that is missing or holds no valid value, else None."""
+    infinite = entry.get("psnr_infinite", False)
+    if not isinstance(infinite, bool):
+        return "psnr_infinite"
+    for name in METRIC_FIELDS:
+        value = entry.get(name)
+        if name == "psnr_style_vs_gen" and infinite:
+            ok = name in entry and value is None  # null stands for +inf
+        else:  # NaN fails the comparison, an int beyond float64 the bound
+            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if not ok:
+            return name
+    if entry.get("direction", "nce_to_ce") not in DIRECTIONS:
+        return "direction"
+    notes = entry.get("notes", [])
+    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+        return "notes"
+    return None
+
+
 def read_report(path) -> dict:
+    """A report whose entries ``MetricReport.from_dict`` reads as written; any
+    other entry raises ``TensorFileError`` naming the file, the entry and the key."""
     report = _read_json(path, "report")
-    if "entries" not in report:
-        raise TensorFileError(f"report {path} has no entries field")
+    entries = report.get("entries")
+    if not isinstance(entries, list):
+        raise TensorFileError(f"report {path} needs an entries list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise TensorFileError(f"report {path} entry {i} must be a JSON object, got {entry!r}")
+        key = _bad_entry_key(entry)
+        if key is not None:
+            got = f"got {entry[key]!r}" if key in entry else "it is missing"
+            raise TensorFileError(f"report {path} entry {i} needs a valid {key!r}; {got}")
     return report
 
 

@@ -244,25 +244,21 @@ def distance_map(mask, spacing=None, mode: str = "voxel") -> DistanceMap:
     anchor the map), all-True -> all 0.1.
 
     ``mode='physical'`` measures distances in millimetres using
-    ``spacing``; the default voxel mode ignores spacing.
+    ``spacing``; the default voxel mode ignores spacing.  The mask and
+    spacing are ``distance_transform``'s to check.
     """
-    m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
     if mode not in ("voxel", "physical"):
         raise ValueError(f"unknown spacing mode {mode!r}")
-    if mode == "physical":
-        if spacing is None:
-            raise ValueError("physical mode needs per-axis spacing")
-    else:
-        spacing = None
-    if not m.any():
+    if mode == "physical" and spacing is None:
+        raise ValueError("physical mode needs per-axis spacing")
+    dist = distance_transform(mask, spacing if mode == "physical" else None)
+    if dist.min() == np.inf:  # all +inf: the mask has no CE voxel
         logger.info("distance_map: mask has no CE voxel, weighting is uniform 1.0")
-        dist = np.full(m.shape, np.inf)
-        return DistanceMap(np.ones(m.shape), False, mode, dist)
-    dist = distance_transform(m, spacing)
+        return DistanceMap(np.ones(dist.shape), False, mode, dist)
     d_max = dist.max()
     if d_max == 0.0:
         logger.info("distance_map: mask is all CE, weighting is uniform 0.1")
-        weights = np.full(m.shape, 0.1)
+        weights = np.full(dist.shape, 0.1)
     else:
         weights = dist / d_max  # then 0.1 + 0.9 * w in place; dist stays intact
         weights *= 0.9
@@ -467,17 +463,22 @@ def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
         return _ssim_family(xa * w, ya * w, data_range, params.per_slice, 1)[0]
 
 
+def _resolve_peak(reference: np.ndarray, peak) -> float:
+    if peak is None:
+        peak = float(reference.max()) - float(reference.min())
+    if not 0 < peak < _SQRT_FLOAT_MAX:
+        raise ValueError(f"peak {peak!r} must be positive with a finite square; pass it "
+                         f"explicitly for constant references")
+    return peak
+
+
 def psnr(reference, test, peak: float | None = None) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs.
 
     ``peak`` of None uses max - min of the reference.
     """
     ref, tst = as_f64_pair(reference, test, "reference", "test")
-    if peak is None:
-        peak = float(ref.max()) - float(ref.min())
-    if not 0 < peak < _SQRT_FLOAT_MAX:
-        raise ValueError(f"peak {peak!r} must be positive with a finite square; pass it "
-                         f"explicitly for constant references")
+    peak = _resolve_peak(ref, peak)
     with _named_overflow(reference=ref, test=tst):
         mse = float(np.mean((ref - tst) ** 2))
     if mse == 0.0:
@@ -506,7 +507,8 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     content image; the contrast-weighted SSIMs score content agreement
     under the plain map and style agreement under the inverted map.  One
     shared dynamic range, from the unweighted content image unless
-    ``params.data_range`` is set, feeds every SSIM-family score.
+    ``params.data_range`` is set, feeds every SSIM-family score; it and
+    PSNR's peak are checked, like the inputs, before any stage runs.
     """
     params = params or EvalParams()
     if params.direction not in DIRECTIONS:
@@ -532,6 +534,7 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
         )
     per_slice = params.slice_mode == "2d" and gen.ndim == 3
     sp = SSIMParams(data_range=_resolve_range(con, params.data_range), per_slice=per_slice)
+    peak = _resolve_peak(sty, params.peak)
     used = ms_ssim_scale_count(gen.shape[1:] if per_slice else gen.shape, params.ms_ssim)
 
     notes: list[str] = []
@@ -550,7 +553,7 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     with _named_overflow(generated=gen, content=con, style=sty):
         ssim_cg, ms_ssim_cg = _ssim_family(con, gen, sp.data_range, per_slice, used)
         return MetricReport(
-            psnr_style_vs_gen=psnr(sty, gen, params.peak),
+            psnr_style_vs_gen=psnr(sty, gen, peak),
             ssim_content_vs_gen=ssim_cg,
             ms_ssim_content_vs_gen=ms_ssim_cg,
             cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),

@@ -17,14 +17,24 @@ from .metrics import CEMask
 from .tensor import VolumeSequence, check_spacing
 
 
+def _store(obj, name: str, cast, kind: str) -> None:
+    """Store field ``name`` as ``cast(value)``; a value it refuses is a ValueError naming it."""
+    value = getattr(obj, name)
+    try:
+        object.__setattr__(obj, name, cast(value))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+
+
 def _store_floats(obj, scalars=(), vectors=()) -> None:
     """Store named fields as floats, ``vectors`` as tuples of floats; each must be finite."""
     for name in (*scalars, *vectors):
-        value = getattr(obj, name)
-        value = tuple(float(v) for v in value) if name in vectors else float(value)
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(obj, name, value)
+        if name in vectors:
+            _store(obj, name, lambda v: tuple(float(x) for x in v), "a list of numbers")
+        else:
+            _store(obj, name, float, "a number")
+        if not np.all(np.isfinite(getattr(obj, name))):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
 def _check_keys(cls, d) -> dict:
@@ -91,10 +101,11 @@ class PhantomSpec:
     spacing_mm: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
-        object.__setattr__(self, "regions", tuple(self.regions))
-        for name, cast in (("n_frames", int), ("seed", int), ("rician", bool)):
-            object.__setattr__(self, name, cast(getattr(self, name)))
+        _store(self, "grid", lambda g: tuple(int(n) for n in g), "a list of integers")
+        _store(self, "regions", tuple, "a list of regions")
+        _store(self, "n_frames", int, "an integer")
+        _store(self, "seed", int, "an integer")
+        _store(self, "rician", bool, "a boolean")
         _store_floats(self, ("noise_sigma", "motion", "background"))
         if len(self.grid) not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got {self.grid}")
@@ -121,6 +132,8 @@ class PhantomSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
         d = _check_keys(cls, d)
+        if not isinstance(d["regions"], (list, tuple)):  # tuple: from to_dict
+            raise ValueError(f"regions must be a list of regions, got {d['regions']!r}")
         return cls(**{**d, "regions": tuple(Region.from_dict(r) for r in d["regions"])})
 
 

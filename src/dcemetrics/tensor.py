@@ -10,8 +10,9 @@ and an optional leading batch axis are broadcast axes of those products.
 The Gaussian window is separable, so the moment maps are taken one axis
 at a time over all five maps at once, each pass a few matrix products
 with a banded matrix of the axis's taps; the variances and the covariance
-are then formed in place in that stack.  All verification arithmetic is
-float64; 32-bit data read from files is widened on entry.
+are then formed in place in that stack.  Inputs are widened to float64
+and scanned once, where they enter (``as_f64``, ``TensorND``);
+``windowed_moments`` checks nothing and trusts its one caller.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
@@ -25,7 +26,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +75,10 @@ def as_f64_pair(a, b, name_a: str = "x", name_b: str = "y") -> tuple[np.ndarray,
 
 def check_spacing(spacing, ndim: int, name: str = "spacing") -> tuple[float, ...]:
     """Voxel sizes as floats: one per spatial axis, each finite and positive."""
-    sp = tuple(float(s) for s in spacing)
+    try:
+        sp = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a list of numbers, got {spacing!r}") from None
     if len(sp) != ndim:
         raise ValueError(f"{name} has {len(sp)} entries for {ndim} spatial axes")
     if not all(0.0 < s < np.inf for s in sp):  # NaN fails both comparisons
@@ -102,18 +106,6 @@ class TensorND:
                     f"axis_labels has {len(labels)} entries for a rank-{arr.ndim} tensor"
                 )
             self.axis_labels = labels
-
-    @classmethod
-    def from_flat(cls, values, shape: Sequence[int], axis_labels=None) -> "TensorND":
-        """Build a tensor from flat row-major values and an explicit shape."""
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        shape = tuple(int(s) for s in shape)
-        expected = int(np.prod(shape)) if shape else 1
-        if flat.size != expected:
-            raise ValueError(
-                f"flat data has {flat.size} values, shape {shape} needs {expected}"
-            )
-        return cls(flat.reshape(shape), axis_labels)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -340,19 +332,16 @@ def windowed_moments(x, y, window: GaussianWindow) -> Moments:
     covariance is left unclamped.  Both are computed in place over the
     second moments, with one spare map for the products, so the five
     returned maps are views of one fresh (5, ...) array that the caller
-    may overwrite.
+    may overwrite.  Unchecked, the caller's to guarantee: ``x`` and ``y``
+    are finite float64 arrays of one shape, and ``window`` has one size
+    per axis, none longer than the axis.
     """
-    xa, ya = as_f64_pair(x, y)
-    if len(window.sizes) != xa.ndim:
-        raise ValueError(f"window rank {len(window.sizes)} does not match image rank {xa.ndim}")
-    if any(ws > s for ws, s in zip(window.sizes, xa.shape)):
-        raise ValueError(f"window {window.sizes} is larger than image {xa.shape}")
-    sums = np.empty((5,) + xa.shape)
-    sums[0] = xa
-    sums[1] = ya
-    np.multiply(xa, xa, out=sums[2])
-    np.multiply(ya, ya, out=sums[3])
-    np.multiply(xa, ya, out=sums[4])
+    sums = np.empty((5,) + x.shape)
+    sums[0] = x
+    sums[1] = y
+    np.multiply(x, x, out=sums[2])
+    np.multiply(y, y, out=sums[3])
+    np.multiply(x, y, out=sums[4])
     for axis, taps in enumerate(window.taps, start=1):
         sums = _band_correlate(sums, taps, axis)
     mu_x, mu_y, var_x, var_y, cov_xy = sums  # second moments until overwritten

@@ -9,6 +9,7 @@ import pytest
 from dcemetrics import __version__
 from dcemetrics.cli import main
 from dcemetrics.io import canonical_bytes, read_header, read_report, read_tensor, write_tensor
+from dcemetrics.metrics import METRIC_FIELDS
 from dcemetrics.phantom import PhantomSpec, Region, generate, make_triple
 
 SPEC = {
@@ -89,10 +90,17 @@ class TestPhantomGen:
         (lambda d: d.pop("regions"), "PhantomSpec is missing required keys ['regions']"),
         (lambda d: d["regions"][0].pop("baseline"), "Region is missing required keys ['baseline']"),
         (lambda d: d.update(spacing_mm=[]), "spacing_mm has 0 entries for 2 spatial axes"),
+        (lambda d: d.update(grid=5, regions=[]), "grid must be a list of integers, got 5"),
+        (lambda d: d.update(regions=5), "regions must be a list of regions, got 5"),
+        (lambda d: d["regions"][0].update(center=4), "center must be a list of numbers, got 4"),
+        (lambda d: d.update(spacing_mm=3), "spacing_mm must be a list of numbers, got 3"),
+        (lambda d: d.update(seed=[1]), "seed must be an integer, got [1]"),
     ], ids=["unknown-spec-key", "unknown-region-key", "missing-spec-key", "missing-region-key",
-            "empty-spacing"])
+            "empty-spacing", "grid-number", "regions-number", "center-number", "spacing-number",
+            "seed-list"])
     def test_spec_keys_must_be_fields(self, tmp_path, capsys, edit, message):
-        # unchecked, a misspelled key is ignored and a missing one crashes with a KeyError
+        # unchecked, a misspelled key is ignored, a missing one crashes with a KeyError
+        # and a wrongly typed value with a TypeError
         spec = copy.deepcopy(SPEC)
         edit(spec)
         rc, out_dir = _gen_from(tmp_path, spec)
@@ -204,6 +212,35 @@ class TestDistMap:
         assert main(["distmap", "--mask", str(mpath), "--out", str(wpath)]) == 2
         assert "sidecar" in capsys.readouterr().err
         assert not wpath.exists() and not (tmp_path / "w.raw.json").exists()
+
+
+@pytest.mark.parametrize("spacing, message", [
+    ([], "spacing_mm has 0 entries for 2 spatial axes"),
+    (3, "spacing_mm must be a list of numbers, got 3"),
+    (["a", 1.0], "spacing_mm must be a list of numbers, got ['a', 1.0]"),
+], ids=["empty", "number", "string-entry"])
+@pytest.mark.parametrize("command", ["cemask", "metrics", "distmap-voxel", "distmap-physical"])
+def test_bad_sidecar_spacing_exits_1_without_output(tmp_path, capsys, command, spacing, message):
+    # unchecked, [] read as no spacing and 3 died with a TypeError traceback
+    seq = generate(PhantomSpec.from_dict(SPEC)).sequence.frames
+    paths = {}
+    for name, arr in [("seq", seq), ("content", seq[0]), ("style", seq[-1]),
+                      ("generated", seq[-1]), ("mask", seq[-1] - seq[0] > 20)]:
+        paths[name] = tmp_path / f"{name}.raw"
+        write_tensor(paths[name], arr, axis_order="TYX" if name == "seq" else None)
+    edited = paths["mask" if command.startswith("distmap") else "seq"].with_suffix(".raw.json")
+    edited.write_text(json.dumps({**json.loads(edited.read_text()), "spacing_mm": spacing}))
+    out = tmp_path / "out.raw"
+    argv = {
+        "cemask": ["cemask", "--seq", str(paths["seq"])],
+        "metrics": ["metrics", *(x for name in ("generated", "content", "style", "seq")
+                                 for x in (f"--{name}", str(paths[name])))],
+        "distmap-voxel": ["distmap", "--mask", str(paths["mask"])],
+        "distmap-physical": ["distmap", "--mask", str(paths["mask"]), "--mode", "physical"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.raw.json").exists()
 
 
 def _mask_with_sidecar_spacing(tmp_path, spacing):
@@ -344,6 +381,31 @@ class TestMetrics:
         assert "threshold must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("peak", ["0", "-1", "nan", "inf"])
+    def test_bad_peak_exits_1_without_report(self, tmp_path, phantom_spec_file, capsys, peak):
+        paths = self._setup(tmp_path, phantom_spec_file[1])
+        out = tmp_path / "r.json"
+        argv = ["metrics", "--out", str(out), f"--peak={peak}"]
+        for name in ("generated", "content", "style", "seq"):
+            argv += [f"--{name}", str(paths[name])]
+        assert main(argv) == 1
+        assert "error: peak" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finiteness_scans_per_run(self, tmp_path, phantom_spec_file, monkeypatch):
+        # each of the four files twice (the payload, then the TensorND it
+        # becomes), plus psnr's two and each cw_ssim's three
+        paths = self._setup(tmp_path, phantom_spec_file[1], noise=2.0)
+        argv = ["metrics", "--out", str(tmp_path / "r.json")]
+        for name in ("generated", "content", "style", "seq"):
+            argv += [f"--{name}", str(paths[name])]
+        sizes = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a))
+                            or isfinite(a, *args, **kw))
+        assert main(argv) == 0
+        assert sum(n > 1 for n in sizes) <= 4 * 2 + 2 + 2 * 3
+
     def test_bad_peak_flag(self, tmp_path, phantom_spec_file):
         _, spec = phantom_spec_file
         paths = self._setup(tmp_path, spec)
@@ -431,6 +493,27 @@ class TestReportMerge:
             ["report", "merge", str(tmp_path / "absent.json"), "--out", str(tmp_path / "m.json")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(entries=[{}]), "entry 0 needs a valid 'psnr_style_vs_gen'"),
+        (lambda r: r.update(entries=[5]), "entry 0 must be a JSON object, got 5"),
+        (lambda r: r.update(entries=5), "needs an entries list, got 5"),
+        (lambda r: r["entries"][1].update(direction="sideways"),
+         "entry 1 needs a valid 'direction'; got 'sideways'"),
+    ], ids=["empty-entry", "number-entry", "entries-number", "unknown-direction"])
+    def test_malformed_entry_exits_2_without_output(self, tmp_path, capsys, edit, message):
+        # unchecked, these raised KeyError, AttributeError or TypeError, or
+        # (the direction) merged into an entry no aggregate counted
+        finite = {name: 0.5 for name in METRIC_FIELDS}
+        infinite = {**finite, "psnr_style_vs_gen": None, "psnr_infinite": True}
+        report = {"entries": [finite, infinite]}
+        edit(report)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(report))
+        out = tmp_path / "m.json"
+        assert main(["report", "merge", str(path), "--out", str(out)]) == 2
+        assert f"error: report {path} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["phantom gen", "report merge"])

@@ -22,7 +22,7 @@ from dcemetrics.io import (
     write_report,
     write_tensor,
 )
-from dcemetrics.metrics import MetricReport
+from dcemetrics.metrics import METRIC_FIELDS, MetricReport
 from dcemetrics.tensor import TensorND
 from oracles import spreadsheet_mean_std
 
@@ -142,6 +142,23 @@ class TestTensorRoundTrip:
         with pytest.raises(ValueError, match=match):
             write_tensor(p, np.zeros((2,) * len(order)), axis_order=order, spacing_mm=spacing)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spacing, match", [
+        ([], "spacing_mm has 0 entries for 2 spatial axes"),
+        ([1.0], "spacing_mm has 1 entries for 2 spatial axes"),
+        (3, "spacing_mm must be a list of numbers"),
+        (["a", 1.0], "spacing_mm must be a list of numbers"),
+        ([0.0, 1.0], "spacing_mm entries must be finite and positive"),
+    ], ids=["empty", "short", "number", "string-entry", "zero"])
+    def test_bad_sidecar_spacing_rejected_on_read(self, tmp_path, spacing, match):
+        # checked against the axes other than T, as write_tensor checks it
+        p = tmp_path / "seq.raw"
+        write_tensor(p, np.zeros((2, 3, 4)), axis_order="TYX", spacing_mm=(1.0, 2.0))
+        sidecar = tmp_path / "seq.raw.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "spacing_mm": spacing}))
+        for read in (read_header, read_tensor):
+            with pytest.raises(ValueError, match=match):
+                read(p)
 
 
 def _entry(seed, direction="nce_to_ce", psnr=None):
@@ -300,3 +317,37 @@ class TestReports:
         p.write_text("{}")
         with pytest.raises(TensorFileError, match="entries"):
             read_report(p)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda e: e.pop("cw_ssim_style"), "cw_ssim_style"),
+        (lambda e: e.update(ssim_content_vs_gen="0.5"), "ssim_content_vs_gen"),
+        (lambda e: e.update(ssim_content_vs_gen=True), "ssim_content_vs_gen"),
+        (lambda e: e.update(ms_ssim_content_vs_gen=math.nan), "ms_ssim_content_vs_gen"),
+        (lambda e: e.update(cw_ssim_content=10**400), "cw_ssim_content"),
+        (lambda e: e.update(psnr_style_vs_gen=None), "psnr_style_vs_gen"),
+        (lambda e: e.update(psnr_style_vs_gen=math.inf), "psnr_style_vs_gen"),
+        (lambda e: e.update(psnr_infinite=True), "psnr_style_vs_gen"),
+        (lambda e: e.update(psnr_infinite="yes"), "psnr_infinite"),
+        (lambda e: e.update(direction="sideways"), "direction"),
+        (lambda e: e.update(notes="a note"), "notes"),
+        (lambda e: e.update(notes=[1]), "notes"),
+    ], ids=["missing-score", "string-score", "bool-score", "nan-score", "huge-int-score",
+            "null-psnr", "inf-psnr", "infinite-flag-with-number", "non-bool-flag",
+            "unknown-direction", "string-notes", "number-note"])
+    def test_read_report_rejects_bad_entry_key(self, tmp_path, edit, key):
+        report = make_report([_entry(0), _entry(1), _entry(2)], {})
+        edit(report["entries"][2])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(report))
+        with pytest.raises(TensorFileError, match=f"^report {p} entry 2 needs a valid '{key}'"):
+            read_report(p)
+
+    def test_read_report_keeps_optional_keys_optional(self, tmp_path):
+        # MetricReport.from_dict defaults direction, notes and psnr_infinite
+        entry = {name: 0.5 for name in METRIC_FIELDS}
+        infinite = {**entry, "psnr_style_vs_gen": None, "psnr_infinite": True}
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps({"entries": [entry, infinite]}))
+        merged = merge_reports([read_report(p)])
+        assert merged["aggregates"]["nce_to_ce"]["n_entries"] == 2
+        assert merged["entries"][1]["psnr_infinite"] is True

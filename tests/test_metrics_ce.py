@@ -237,6 +237,12 @@ class TestDistanceMap:
         with pytest.raises(ValueError, match="spacing"):
             distance_map(np.ones((3, 3), dtype=bool), mode="physical")
 
+    @pytest.mark.parametrize("fill", [False, True], ids=["no-ce", "all-ce"])
+    def test_bad_spacing_rejected_on_degenerate_masks(self, fill):
+        # the mask and spacing go to distance_transform even when it has no CE voxel
+        with pytest.raises(ValueError, match="finite and positive"):
+            distance_map(np.full((3, 3), fill), (0.0, 1.0), "physical")
+
     def test_physical_mode_scales_distances(self):
         mask = np.zeros((1, 3), dtype=bool)
         mask[0, 0] = True

@@ -472,6 +472,28 @@ class TestEvaluateTriple:
         with pytest.raises(ValueError, match="^threshold must be finite"):
             evaluate_triple(g, c, s, seq, EvalParams(threshold=threshold))
 
+    @pytest.mark.parametrize("peak", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_peak_rejected_before_any_stage(self, peak, monkeypatch):
+        seq, g, c, s = self._sequence_and_triple(74)
+        for name in ("detect_ce", "windowed_moments"):
+            monkeypatch.setattr(metrics, name, pytest.fail)  # no stage may start
+        with pytest.raises(ValueError, match="^peak"):
+            evaluate_triple(g, c, s, seq, EvalParams(peak=peak))
+
+    @pytest.mark.parametrize("shape, slice_mode", [
+        ((176, 176), "3d"), ((12, 24, 24), "3d"), ((12, 24, 24), "2d"),
+    ])
+    def test_finiteness_scans_per_triple(self, shape, slice_mode, monkeypatch):
+        # the three inputs once on entry, plus the public psnr's two and each
+        # public cw_ssim's three (pair and weights); the moments scan nothing
+        seq, g, c, s = self._sequence_and_triple(75, shape)
+        sizes = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a))
+                            or isfinite(a, *args, **kw))
+        evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode))
+        assert sum(n > 1 for n in sizes) <= 3 + 2 + 2 * 3
+
     @pytest.mark.parametrize("name", ["data_range", "peak"])
     def test_overflowing_range_or_peak_rejected(self, name):
         seq, g, c, s = self._sequence_and_triple(71)
@@ -595,6 +617,40 @@ class TestEvaluateTriple:
         assert d["psnr_style_vs_gen"] is None
         assert d["psnr_infinite"] is True
         assert MetricReport.from_dict(d).psnr_style_vs_gen == math.inf
+
+
+class TestMomentsContract:
+    """``windowed_moments`` checks nothing, so every score must hand it
+    finite float64 pairs of one shape and a window that fits them."""
+
+    @pytest.mark.parametrize("shape, slice_mode", [
+        ((176, 176), "3d"),  # five MS-SSIM scales
+        ((24, 48, 48), "3d"),  # two scales
+        ((4, 40, 40), "2d"),  # 40x40 slices, two scales
+        ((4, 40, 40), "3d"),  # window cut to 3 on the thin axis; one scale of five
+    ], ids=["image", "volume", "volume-by-slice", "thin-volume"])
+    def test_every_call_gets_a_checked_pair(self, shape, slice_mode, monkeypatch):
+        seq, g, c, s = TestEvaluateTriple()._sequence_and_triple(76, shape)
+        # float32 and integer inputs must reach the moments widened to float64
+        g, c = g.astype(np.float32), np.rint(c).astype(np.int64)
+        dm = distance_map(detect_ce(seq))
+        calls = []
+        moments = metrics.windowed_moments
+        monkeypatch.setattr(
+            metrics, "windowed_moments", lambda *a: calls.append(a) or moments(*a)
+        )
+        per_slice = slice_mode == "2d"
+        ssim(c, g, SSIMParams(per_slice=per_slice))
+        ms_ssim(c, g, MSSSIMParams(per_slice=per_slice))
+        cw_ssim(g, c, dm, SSIMParams(per_slice=per_slice))
+        evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode))
+        assert len(calls) >= 6
+        for x, y, window in calls:
+            assert x.dtype == y.dtype == np.float64
+            assert x.shape == y.shape
+            assert np.isfinite(x).all() and np.isfinite(y).all()
+            assert len(window.sizes) == x.ndim
+            assert all(w <= n for w, n in zip(window.sizes, x.shape))
 
 
 class TestInputsUntouched:
