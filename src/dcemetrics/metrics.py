@@ -14,6 +14,11 @@ Pipeline for one (generated, content, style) triple:
      [0.1, 1.0], optionally inverted;
   3. multiply both images by the weighting and score them with SSIM.
 
+Every SSIM-family score needs only the means of its luminance and
+contrast-structure maps, so ``_slab_means`` takes the windowed moments in
+slabs of rows along the leading axis and sums each slab into running
+totals; no moment or SSIM map is ever image-sized.
+
 Distances come from scipy's exact Euclidean distance transform, so
 weightings are reproducible down to the last bit across runs.
 ``scipy.ndimage`` is loaded by the first ``distance_transform`` call, not
@@ -32,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor
 from .tensor import (WINDOW_SIZE, GaussianWindow, VolumeSequence, as_f64, as_f64_pair,
                      check_spacing, windowed_moments)
 
@@ -323,51 +329,80 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ssim_family(xa, ya, data_range: float, per_slice: bool,
-                 n_scales: int) -> tuple[float, float]:
+def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
+                 w=None) -> tuple[float, float]:
     """(SSIM, MS-SSIM) of a checked pair over ``n_scales`` dyadic scales.
 
     SSIM is MS-SSIM's first-scale term.  With ``per_slice`` a volume is
     scored slice by slice along its leading axis and both scores averaged.
     One window serves every scale: each scale ``ms_ssim_scale_count``
-    admits still holds the full-resolution window on every axis.  The
-    luminance and contrast-structure maps are formed in place in each
-    scale's fresh ``windowed_moments`` maps, each formula evaluated left to
-    right as written.
+    admits still holds the full-resolution window on every axis.  ``w``,
+    checked weights of the pair's shape, multiplies both images voxelwise
+    before scoring; only single-scale calls pass it.
     """
     c1 = (_K1 * data_range) ** 2
     c2 = (_K2 * data_range) ** 2
-    pairs = list(zip(xa, ya)) if per_slice and xa.ndim == 3 else [(xa, ya)]
-    window = GaussianWindow.for_shape(pairs[0][0].shape)
+    slices = range(xa.shape[0]) if per_slice and xa.ndim == 3 else [Ellipsis]
+    window = GaussianWindow.for_shape(xa[slices[0]].shape)
     trimmed = MS_SSIM_EXPONENTS[:n_scales]
-    exponents = [w / sum(trimmed) for w in trimmed]
+    exponents = [e / sum(trimmed) for e in trimmed]
     ssims, ms_ssims = [], []
-    for x, y in pairs:
+    for i in slices:
+        x, y = xa[i], ya[i]
         per_scale = []  # (mean SSIM, mean contrast-structure) at each scale
         for scale in range(n_scales):
             if scale:
                 x, y = _downsample2(x), _downsample2(y)
-            mu_x, mu_y, var_x, var_y, cs = windowed_moments(x, y, window)
-            # cs = (2 cov + c2) / (var_x + var_y + c2)
-            cs *= 2.0
-            cs += c2
-            var_x += var_y
-            var_x += c2
-            cs /= var_x
-            # lum = (2 mu_x mu_y + c1) / (mu_x^2 + mu_y^2 + c1), then lum * cs
-            lum = np.multiply(mu_x, 2.0, out=var_y)
-            lum *= mu_y
-            lum += c1
-            np.square(mu_x, out=mu_x)
-            mu_x += np.square(mu_y, out=mu_y)
-            mu_x += c1
-            lum /= mu_x
-            lum *= cs
-            per_scale.append((float(lum.mean()), float(cs.mean())))
+            per_scale.append(_slab_means(x, y, None if w is None else w[i], window, c1, c2))
         terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
         ssims.append(per_scale[0][0])
         ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))
     return float(np.mean(ssims)), float(np.mean(ms_ssims))
+
+
+def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float) -> tuple[float, float]:
+    """Means of lum * cs and of cs over every valid window position of (x, y).
+
+    The valid output rows along the leading axis are split into equal slabs
+    of at most S rows, S from ``tensor._SLAB_BYTES``; each slab's inputs are
+    views of its S rows plus the window's k0 - 1 halo rows (times ``w``, if
+    given), and its ``windowed_moments`` maps are summed into running
+    totals, so no map is ever image-sized.  The luminance and
+    contrast-structure maps are formed in place in each slab's fresh maps,
+    each formula evaluated left to right as written.
+    """
+    k0 = window.sizes[0]
+    n_out = x.shape[0] - k0 + 1
+    row_bytes = 5 * 8 * math.prod(x.shape[1:])  # one float64 row of the (5, ...) stack
+    rows = max(tensor._BAND_BLOCK, tensor._SLAB_BYTES // row_bytes - (k0 - 1))
+    rows = -(-n_out // -(-n_out // rows))  # equal slabs: the last may be shorter
+    ssim_total = cs_total = 0.0
+    count = 0
+    for lo in range(0, n_out, rows):
+        rows_in = slice(lo, min(lo + rows, n_out) + k0 - 1)
+        xs, ys = x[rows_in], y[rows_in]
+        if w is not None:
+            xs, ys = xs * w[rows_in], ys * w[rows_in]
+        mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, window)
+        # cs = (2 cov + c2) / (var_x + var_y + c2)
+        cs *= 2.0
+        cs += c2
+        var_x += var_y
+        var_x += c2
+        cs /= var_x
+        # lum = (2 mu_x mu_y + c1) / (mu_x^2 + mu_y^2 + c1), then lum * cs
+        lum = np.multiply(mu_x, 2.0, out=var_y)
+        lum *= mu_y
+        lum += c1
+        np.square(mu_x, out=mu_x)
+        mu_x += np.square(mu_y, out=mu_y)
+        mu_x += c1
+        lum /= mu_x
+        lum *= cs
+        ssim_total += float(lum.sum())
+        cs_total += float(cs.sum())
+        count += cs.size
+    return ssim_total / count, cs_total / count
 
 
 def ssim(x, y, params: SSIMParams | None = None) -> float:
@@ -460,7 +495,7 @@ def cw_ssim(x, y, dm: DistanceMap, params: SSIMParams | None = None,
         )
     data_range = _resolve_range(xa, params.data_range)
     with _named_overflow(x=xa, y=ya):
-        return _ssim_family(xa * w, ya * w, data_range, params.per_slice, 1)[0]
+        return _ssim_family(xa, ya, data_range, params.per_slice, 1, w)[0]
 
 
 def _resolve_peak(reference: np.ndarray, peak) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -387,11 +388,13 @@ class TestEvaluateTriple:
 
     @pytest.mark.parametrize(
         "shape, slice_mode, calls",
-        [((176, 176), "3d", 7), ((4, 40, 40), "3d", 3), ((4, 40, 40), "2d", 16)],
+        [((176, 176), "3d", 13), ((4, 40, 40), "3d", 3), ((4, 40, 40), "2d", 16)],
     )
     def test_content_pair_scored_once(self, shape, slice_mode, calls, monkeypatch):
-        # SSIM is MS-SSIM's first-scale term: one moment pass per MS-SSIM scale
-        # (per slice in 2D mode) plus one per contrast-weighted SSIM
+        # SSIM is MS-SSIM's first-scale term: one moment pass per slab of each
+        # MS-SSIM scale (per slice in 2D mode) plus one per slab of each
+        # contrast-weighted SSIM; at 176x176 the 166 valid rows of full
+        # resolution take three slabs, each coarser scale one: 3 + 4 + 3 + 3
         seq, g, c, s = self._sequence_and_triple(67, shape)
         moments = metrics.windowed_moments
         seen = []
@@ -408,6 +411,23 @@ class TestEvaluateTriple:
         assert report.ms_ssim_content_vs_gen == ms_ssim(
             c, g, MSSSIMParams(data_range=L, per_slice=per_slice)
         )
+
+    def test_peak_memory_below_whole_image_moments(self):
+        # whole-image moments hold the volume's (5, ...) stack and the output of
+        # its first pass at once; streamed in slabs, a whole 3D triple, EDT and
+        # weight maps included, peaks below that
+        shape = (96, 32, 32)
+        seq, g, c, s = self._sequence_and_triple(77, shape)
+        evaluate_triple(g, c, s, seq)  # loads scipy.ndimage outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_triple(g, c, s, seq)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        whole = 5 * 8 * (c.size + (shape[0] - 10) * shape[1] * shape[2])
+        assert peak < whole, f"peak {peak / (8 * c.size):.1f} x 8 B per voxel"
 
     @pytest.mark.parametrize(
         "setting, owner",
