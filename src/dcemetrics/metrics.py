@@ -224,7 +224,8 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     """Exact Euclidean distance from every voxel to the nearest True voxel.
 
     ``spacing`` gives the per-axis voxel size (default 1), each finite and
-    positive.  On integer (voxel) grids the result matches an all-pairs
+    positive, and small enough that the squared distance across the grid
+    is finite.  On integer (voxel) grids the result matches an all-pairs
     scan bit for bit.  All-False masks yield +inf everywhere.
     """
     m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
@@ -233,6 +234,11 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     if m.size == 0:
         raise ValueError("mask must be non-empty")
     spacing = (1.0,) * m.ndim if spacing is None else check_spacing(spacing, m.ndim)
+    # the EDT squares distances up to the grid's diagonal; half the bound
+    # leaves room for the rounding of their sums
+    if not math.hypot(*(s * (n - 1) for s, n in zip(spacing, m.shape))) < _SQRT_FLOAT_MAX / 2:
+        raise ValueError(f"spacing {spacing} is too large for a {m.shape} grid: squared "
+                         f"distances across it overflow float64")
     if not m.any():
         # scipy measures to a point outside the array here; there is no site
         return np.full(m.shape, np.inf)

@@ -160,6 +160,24 @@ class TestDistanceTransform:
         with pytest.raises(ValueError, match="finite and positive"):
             distance_transform(np.eye(3, dtype=bool), (bad, 1.0))
 
+    @pytest.mark.parametrize("spacing", [(1e200, 1e200), (1.0, 1e308)])
+    def test_overflowing_spacing_named(self, spacing):
+        # unchecked, scipy's squared distances overflowed: +inf next to the CE
+        # voxel, then NaN weights that cw_ssim blamed on the distance map
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        with np.errstate(over="raise"), pytest.raises(ValueError, match=r"^spacing \("):
+            distance_transform(mask, spacing)
+        with pytest.raises(ValueError, match=r"^spacing \("):
+            distance_map(mask, spacing, "physical")
+
+    def test_huge_spacing_that_squares_finitely_kept(self):
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        got = distance_transform(mask, (1e150, 1e150))
+        assert np.isfinite(got).all()
+        npt.assert_allclose(got, brute_force_edt(mask) * 1e150, rtol=1e-12)
+
     def test_rank_zero_mask_rejected(self):
         with pytest.raises(ValueError, match="at least one axis"):
             distance_transform(np.array(True))
