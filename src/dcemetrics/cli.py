@@ -25,7 +25,6 @@ from .io import (
     export_csv,
     make_report,
     merge_reports,
-    read_header,
     read_report,
     read_tensor,
     write_report,
@@ -73,11 +72,7 @@ def _load_sequence(path) -> VolumeSequence:
         raise ValueError(
             f"sequence tensor must be (T, Y, X) or (T, Z, Y, X), got rank {t.ndim}"
         )
-    return VolumeSequence(t, spacing_mm=read_header(path).get("spacing_mm"))
-
-
-def _load_mask(path) -> np.ndarray:
-    return read_tensor(path).data > 0.5
+    return VolumeSequence(t, spacing_mm=t.spacing_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +133,12 @@ def _cmd_cemask(args) -> int:
 
 
 def _cmd_distmap(args) -> int:
-    mask = _load_mask(args.mask)
-    spacing = read_header(args.mask).get("spacing_mm")
-    dm = distance_map(mask, spacing=spacing, mode=args.mode)
+    mask = read_tensor(args.mask)
+    dm = distance_map(mask.data > 0.5, spacing=mask.spacing_mm, mode=args.mode)
     if args.invert:
         dm = invert_map(dm)
-    write_tensor(args.out, dm.weights, spacing_mm=spacing, provenance=_provenance(args))
+    write_tensor(args.out, dm.weights, spacing_mm=mask.spacing_mm,
+                 provenance=_provenance(args))
     print(f"wrote {args.out} (inverted={dm.inverted})")
     return 0
 

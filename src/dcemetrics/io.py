@@ -109,6 +109,8 @@ def read_tensor(path) -> TensorND:
 
     The sidecar's dims govern the expected byte count; a short or long
     payload and any NaN in the stream are rejected with exact offsets.
+    Its axis order and any spacing come with the tensor, so the sidecar
+    is read once.
     """
     header = read_header(path)
     dims = tuple(header["dims"])
@@ -127,7 +129,7 @@ def read_tensor(path) -> TensorND:
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise TensorFileError(f"payload contains a non-finite value at flat offset {int(bad[0])}")
-    return TensorND(flat.reshape(dims), tuple(header["axis_order"]))
+    return TensorND(flat.reshape(dims), tuple(header["axis_order"]), header.get("spacing_mm"))
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,14 @@ class TensorND:
     """Row-major dense array of float64 scalars with optional axis tags.
 
     Non-finite values are rejected at construction; every operation in the
-    package may therefore assume finite inputs.
+    package may therefore assume finite inputs.  ``spacing_mm``, as a
+    tensor file's sidecar gives it, holds one voxel size per axis other
+    than T, each finite and positive.
     """
 
     data: np.ndarray
     axis_labels: tuple[str, ...] | None = None
+    spacing_mm: tuple[float, ...] | None = None
 
     def __post_init__(self):
         arr = self.data = as_f64(self.data, "tensor data")
@@ -120,6 +123,9 @@ class TensorND:
                     f"axis_labels has {len(labels)} entries for a rank-{arr.ndim} tensor"
                 )
             self.axis_labels = labels
+        if self.spacing_mm is not None:
+            n_spatial = arr.ndim - (self.axis_labels or ()).count("T")
+            self.spacing_mm = check_spacing(self.spacing_mm, n_spatial, "spacing_mm")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from dcemetrics import __version__
+from dcemetrics import io
 from dcemetrics.cli import main
 from dcemetrics.io import canonical_bytes, read_header, read_report, read_tensor, write_tensor
 from dcemetrics.metrics import METRIC_FIELDS
@@ -241,6 +242,32 @@ def test_bad_sidecar_spacing_exits_1_without_output(tmp_path, capsys, command, s
     assert main([*argv, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "out.raw.json").exists()
+
+
+@pytest.mark.parametrize("command", ["cemask", "distmap", "metrics"])
+def test_each_sidecar_parsed_once(tmp_path, monkeypatch, command):
+    # the CLI read the sequence's and the mask's sidecar a second time for its spacing
+    seq = generate(PhantomSpec.from_dict(SPEC)).sequence.frames
+    paths = {}
+    for name, arr in [("seq", seq), ("content", seq[0]), ("style", seq[-1]),
+                      ("generated", seq[-1]), ("mask", seq[-1] - seq[0] > 20)]:
+        paths[name] = tmp_path / f"{name}.raw"
+        write_tensor(paths[name], arr, axis_order="TYX" if name == "seq" else None,
+                     spacing_mm=(1.5, 2.0))
+    argv, read = {
+        "cemask": (["cemask", "--seq", str(paths["seq"])], ["seq"]),
+        "distmap": (["distmap", "--mask", str(paths["mask"]), "--mode", "physical"], ["mask"]),
+        "metrics": (["metrics", *(x for name in ("generated", "content", "style", "seq")
+                                  for x in (f"--{name}", str(paths[name])))],
+                    ["generated", "content", "style", "seq"]),
+    }[command]
+    reads = []
+    read_json = io._read_json
+    monkeypatch.setattr(io, "_read_json", lambda *a: reads.append(a[0]) or read_json(*a))
+    assert main([*argv, "--out", str(tmp_path / "out.raw")]) == 0
+    assert sorted(map(str, reads)) == sorted(f"{paths[name]}.json" for name in read)
+    if command == "distmap":  # the one read still carries the spacing through
+        assert read_header(tmp_path / "out.raw")["spacing_mm"] == [1.5, 2.0]
 
 
 def _mask_with_sidecar_spacing(tmp_path, spacing):

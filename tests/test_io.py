@@ -80,7 +80,9 @@ class TestTensorRoundTrip:
         assert header["axis_order"] == axis_order
         assert header.get("spacing_mm") == spacing
         assert header.get("provenance") == provenance
-        assert read_tensor(p).axis_labels == tuple(axis_order)
+        back = read_tensor(p)
+        assert back.axis_labels == tuple(axis_order)
+        assert back.spacing_mm == (None if spacing is None else tuple(spacing))
 
     def test_sidecar_contents(self, tmp_path):
         p = tmp_path / "seq.raw"

@@ -46,6 +46,15 @@ class TestTensorND:
         t = TensorND(np.ones((3, 3), dtype=np.float32))
         assert t.data.dtype == np.float64
 
+    def test_spacing_has_one_entry_per_axis_other_than_t(self):
+        t = TensorND(np.zeros((2, 3, 4)), ("T", "Y", "X"), [1.5, 2])
+        assert t.spacing_mm == (1.5, 2.0)
+        assert TensorND(np.zeros((3, 4)), spacing_mm=(1.0, 1.0)).spacing_mm == (1.0, 1.0)
+        with pytest.raises(ValueError, match="^spacing_mm has 3 entries for 2 spatial axes"):
+            TensorND(np.zeros((2, 3, 4)), ("T", "Y", "X"), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="^spacing_mm entries must be finite and positive"):
+            TensorND(np.zeros((3, 4)), spacing_mm=(0.0, 1.0))
+
 
 class TestVolumeSequence:
     def test_spacing_rank_check(self):
