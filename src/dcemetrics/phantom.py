@@ -14,25 +14,33 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .metrics import CEMask
-from .tensor import VolumeSequence, check_spacing
+from .tensor import VolumeSequence, _is_real, _is_vector, check_spacing
 
 
-def _store(obj, name: str, cast, kind: str) -> None:
-    """Store field ``name`` as ``cast(value)``; a value it refuses is a ValueError naming it."""
+def _store(obj, name: str, ok, cast, kind: str) -> None:
+    """Store field ``name`` as ``cast(value)`` if ``ok(value)``, else raise a ValueError naming it."""
     value = getattr(obj, name)
-    try:
-        object.__setattr__(obj, name, cast(value))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+    if ok(value):
+        try:
+            object.__setattr__(obj, name, cast(value))
+            return
+        except OverflowError:  # an integer beyond float64
+            pass
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _store_floats(obj, scalars=(), vectors=()) -> None:
-    """Store named fields as floats, ``vectors`` as tuples of floats; each must be finite."""
+    """Store named real fields as floats, ``vectors`` as tuples of floats; each must be finite."""
     for name in (*scalars, *vectors):
         if name in vectors:
-            _store(obj, name, lambda v: tuple(float(x) for x in v), "a list of numbers")
+            _store(obj, name, lambda v: _is_vector(v, _is_real),
+                   lambda v: tuple(float(x) for x in v), "a list of numbers")
         else:
-            _store(obj, name, float, "a number")
+            _store(obj, name, _is_real, float, "a number")
         if not np.all(np.isfinite(getattr(obj, name))):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
@@ -101,11 +109,13 @@ class PhantomSpec:
     spacing_mm: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _store(self, "grid", lambda g: tuple(int(n) for n in g), "a list of integers")
-        _store(self, "regions", tuple, "a list of regions")
-        _store(self, "n_frames", int, "an integer")
-        _store(self, "seed", int, "an integer")
-        _store(self, "rician", bool, "a boolean")
+        _store(self, "grid", lambda g: _is_vector(g, _is_int),
+               lambda g: tuple(int(n) for n in g), "a list of integers")
+        _store(self, "regions", lambda r: _is_vector(r, lambda e: isinstance(e, Region)),
+               tuple, "a list of regions")
+        _store(self, "n_frames", _is_int, int, "an integer")
+        _store(self, "seed", _is_int, int, "an integer")
+        _store(self, "rician", lambda v: isinstance(v, (bool, np.bool_)), bool, "a boolean")
         _store_floats(self, ("noise_sigma", "motion", "background"))
         if len(self.grid) not in (2, 3):
             raise ValueError(f"grid must be 2D or 3D, got {self.grid}")

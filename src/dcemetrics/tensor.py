@@ -27,6 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,12 +88,28 @@ def as_f64_pair(a, b, name_a: str = "x", name_b: str = "y") -> tuple[np.ndarray,
     return xa, xb
 
 
+def _is_real(value) -> bool:
+    """A real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_vector(value, entry_ok) -> bool:
+    """A list, tuple or 1-D array (never a string) whose entries all pass ``entry_ok``."""
+    if isinstance(value, np.ndarray) and value.ndim != 1:
+        return False
+    return isinstance(value, (list, tuple, np.ndarray)) and all(map(entry_ok, value))
+
+
 def check_spacing(spacing, ndim: int, name: str = "spacing") -> tuple[float, ...]:
-    """Voxel sizes as floats: one per spatial axis, each finite and positive."""
-    try:
-        sp = tuple(float(s) for s in spacing)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a list of numbers, got {spacing!r}") from None
+    """Voxel sizes as floats: one real number per spatial axis, each finite and positive."""
+    sp = None
+    if _is_vector(spacing, _is_real):
+        try:
+            sp = tuple(float(s) for s in spacing)
+        except OverflowError:  # an integer beyond float64
+            pass
+    if sp is None:
+        raise ValueError(f"{name} must be a list of numbers, got {spacing!r}")
     if len(sp) != ndim:
         raise ValueError(f"{name} has {len(sp)} entries for {ndim} spatial axes")
     if not all(0.0 < s < np.inf for s in sp):  # NaN fails both comparisons

@@ -109,6 +109,23 @@ class TestPhantomGen:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid", [24.5, 24], "grid must be a list of integers, got [24.5, 24]"),
+        ("n_frames", 2.7, "n_frames must be an integer, got 2.7"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("rician", "no", "rician must be a boolean, got 'no'"),
+        ("spacing_mm", "12", "spacing_mm must be a list of numbers, got '12'"),
+        ("noise_sigma", True, "noise_sigma must be a number, got True"),
+    ], ids=["grid-float", "n_frames-float", "seed-float", "rician-string", "spacing-string",
+            "noise_sigma-bool"])
+    def test_wrongly_typed_value_exits_1_without_output(self, tmp_path, capsys, key, value,
+                                                        message):
+        # unchecked, each converted to a value with another meaning and rendered
+        rc, out_dir = _gen_from(tmp_path, {**copy.deepcopy(SPEC), key: value})
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 def _gen_from(tmp_path, spec: dict):
     spec_file = tmp_path / "spec.json"

@@ -84,12 +84,42 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             _basic_spec(**{field: bad})
 
-    def test_from_dict_coerces_types(self):
+    def test_from_dict_stores_plain_types(self):
         d = _basic_spec().to_dict()
-        spec = PhantomSpec.from_dict({**d, "noise_sigma": 2, "n_frames": 6.0, "rician": 1})
-        assert (spec.noise_sigma, spec.n_frames, spec.rician) == (2.0, 6, True)
-        assert [type(v) for v in (spec.noise_sigma, spec.n_frames, spec.rician)] == [
-            float, int, bool]
+        spec = PhantomSpec.from_dict({**d, "noise_sigma": 2, "n_frames": np.int64(6),
+                                      "rician": np.True_, "grid": np.array([32, 32])})
+        got = (spec.noise_sigma, spec.n_frames, spec.rician, spec.grid)
+        assert got == (2.0, 6, True, (32, 32))
+        assert [type(v) for v in got[:3]] + [type(n) for n in spec.grid] == [
+            float, int, bool, int, int]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid", [8.9, 8], "grid must be a list of integers"),
+        ("grid", [True, 8], "grid must be a list of integers"),
+        ("n_frames", 2.7, "n_frames must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("rician", "no", "rician must be a boolean"),
+        ("rician", 1, "rician must be a boolean"),
+        ("noise_sigma", True, "noise_sigma must be a number"),
+        ("background", "20", "background must be a number"),
+        ("spacing_mm", "12", "spacing_mm must be a list of numbers"),
+        ("spacing_mm", [True, 2.0], "spacing_mm must be a list of numbers"),
+    ], ids=["grid-float", "grid-bool", "n_frames-float", "seed-float", "seed-bool",
+            "rician-string", "rician-int", "noise_sigma-bool", "background-string",
+            "spacing-string", "spacing-bool"])
+    def test_from_dict_rejects_wrongly_typed_value(self, key, value, message):
+        # unchecked, int(), bool() and float() gave grid (8, 8), 2 frames, seed 1,
+        # rician True and spacing (1.0, 2.0) from "12"
+        d = {**_basic_spec().to_dict(), "grid": [32, 32], key: value}
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            PhantomSpec.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [("center", "12"), ("radii", [5, False])])
+    def test_region_vector_rejects_strings_and_bools(self, key, value):
+        fields = dict(center=(10.0, 10.0), radii=(5.0, 6.0), baseline=80.0)
+        with pytest.raises(ValueError, match=f"^{key} must be a list of numbers"):
+            Region.from_dict({**fields, key: value})
 
     @pytest.mark.parametrize("d", ["spec", [1, 2], None])
     def test_from_dict_needs_an_object(self, d):

@@ -10,6 +10,7 @@ from dcemetrics.tensor import (
     GaussianWindow,
     TensorND,
     VolumeSequence,
+    check_spacing,
     conv,
     windowed_moments,
 )
@@ -65,6 +66,14 @@ class TestVolumeSequence:
     def test_bad_spacing_rejected(self, bad):
         with pytest.raises(ValueError, match="finite and positive"):
             VolumeSequence(np.zeros((3, 4, 4)), spacing_mm=(bad, 1.0))
+
+    @pytest.mark.parametrize("bad", [[True, 2], "12", np.ones((1, 2)), np.array(1.5)],
+                             ids=["bool-entry", "string", "2d-array", "0d-array"])
+    def test_spacing_without_plain_numbers_rejected(self, bad):
+        # unchecked, [True, 2] and "12" both read as (1.0, 2.0)
+        with pytest.raises(ValueError, match="^spacing must be a list of numbers"):
+            check_spacing(bad, 2)
+        assert check_spacing(np.array([1, 2.5]), 2) == (1.0, 2.5)
 
     @pytest.mark.parametrize("bad", [3, ["a", 1.0], [[1.0], 1.0], [10**400, 1.0]])
     def test_spacing_of_wrong_type_rejected(self, bad):
