@@ -381,7 +381,8 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float) -> tuple[
     n_out = x.shape[0] - k0 + 1
     row_bytes = 5 * 8 * math.prod(x.shape[1:])  # one float64 row of the (5, ...) stack
     rows = max(tensor._BAND_BLOCK, tensor._SLAB_BYTES // row_bytes - (k0 - 1))
-    rows = -(-n_out // -(-n_out // rows))  # equal slabs: the last may be shorter
+    n_slabs = -(-n_out // rows)
+    rows = -(-n_out // n_slabs)  # equal slabs; the last may be shorter
     ssim_total = cs_total = 0.0
     count = 0
     for lo in range(0, n_out, rows):
