@@ -24,12 +24,9 @@ from .io import (
     write_tensor,
 )
 from .kernels import (
-    AdaConvKernelSet,
     ConvLSTMState,
     ConvLSTMWeights,
     FixedFeatureExtractor,
-    KernelPredictorSet,
-    adaconv_apply,
     adain,
     bidirectional_convlstm,
     convlstm_cell,
@@ -63,7 +60,6 @@ from .tensor import GaussianWindow, TensorND, VolumeSequence, conv
 
 __all__ = [
     "__version__",
-    "AdaConvKernelSet",
     "CEMask",
     "ConvLSTMState",
     "ConvLSTMWeights",
@@ -71,7 +67,6 @@ __all__ = [
     "EvalParams",
     "FixedFeatureExtractor",
     "GaussianWindow",
-    "KernelPredictorSet",
     "MetricReport",
     "MSSSIMParams",
     "PhantomOutput",
@@ -81,7 +76,6 @@ __all__ = [
     "TensorFileError",
     "TensorND",
     "VolumeSequence",
-    "adaconv_apply",
     "adain",
     "aggregate",
     "bidirectional_convlstm",

@@ -7,11 +7,6 @@ loops and finite differences:
 
 * ``adain`` aligns per-channel feature statistics of a content map to a
   style map.
-* ``AdaConvKernelSet`` / ``adaconv_apply`` run a predicted depthwise
-  spatial convolution, a pointwise channel-mixing convolution and a bias
-  add, in that order, under reflect padding.
-* ``KernelPredictorSet`` builds the three fixed-seed linear predictor
-  heads that map a style code to an ``AdaConvKernelSet``.
 * ``convlstm_cell`` / ``bidirectional_convlstm`` implement the standard
   convolutional LSTM gate equations and the two-direction driver that
   concatenates the per-frame hidden states of both passes.
@@ -21,11 +16,14 @@ loops and finite differences:
   checks are valid everywhere.
 * the loss family (``loss_l1``, ``loss_adv_mse``, ``loss_feature``,
   ``loss_style_frob``) and ``grad_check``, a central-difference harness
-  over randomly sampled coordinates.  The L1 and adversarial gradients are
-  public functions; the feature and style gradients live in the check
-  itself, pulled back through the extractor's adjoint from the fixed-side
-  features it extracts once.
+  over randomly sampled coordinates.  Each loss's value has one batched
+  definition, which both the public loss and the check call.  The L1 and
+  adversarial gradients are public functions; the feature and style
+  gradients live in the check itself, pulled back through the extractor's
+  adjoint from the fixed-side features it extracts once.
 
+The paper's convolution with kernels predicted from a style code is not
+kept; every convolution is ``tensor.conv``, zero-padded and size-preserving.
 Feature maps are arrays shaped (C, spatial...); plain images enter the
 extractor as (spatial...) and are lifted to a single channel.
 """
@@ -40,7 +38,7 @@ import numpy as np
 from .tensor import as_f64, as_f64_pair, conv
 
 LOSS_IDS = ("l1", "adv_mse", "feature", "style_frob")
-# spatial kernel of every seeded or identity constructor
+# spatial kernel of every seeded or zero-weight constructor
 _KERNEL = (3, 3)
 # frames of a bidirectional ConvLSTM sequence
 _N_FRAMES = 5
@@ -86,145 +84,6 @@ def adain(content, style, eps: float = 1e-5) -> np.ndarray:
     mu_s = s.mean(axis=_spatial_axes(s)).reshape(stat_shape)
     sigma_s = s.std(axis=_spatial_axes(s)).reshape(stat_shape)
     return sigma_s * (c - mu_c) / np.sqrt(var_c + eps) + mu_s
-
-
-# ---------------------------------------------------------------------------
-# predicted-kernel convolution
-
-
-@dataclass(frozen=True)
-class AdaConvKernelSet:
-    """One predicted convolution: depthwise spatial, pointwise 1x1, bias.
-
-    ``depthwise`` is shaped (C, C // groups, k...), ``pointwise``
-    (C_out, C, 1...), ``bias`` (C_out,).  Spatial kernel sizes must be odd
-    so that reflect padding preserves the input extent.
-    """
-
-    depthwise: np.ndarray
-    pointwise: np.ndarray
-    bias: np.ndarray
-    groups: int = 1
-
-    def __post_init__(self):
-        dw = as_f64(self.depthwise, "depthwise")
-        pw = as_f64(self.pointwise, "pointwise")
-        b = as_f64(self.bias, "bias")
-        object.__setattr__(self, "depthwise", dw)
-        object.__setattr__(self, "pointwise", pw)
-        object.__setattr__(self, "bias", b)
-        if dw.ndim < 3 or pw.ndim != dw.ndim:
-            raise ValueError("depthwise and pointwise kernels must share rank")
-        if any(k % 2 == 0 for k in dw.shape[2:]):
-            raise ValueError(f"depthwise kernel sizes must be odd, got {dw.shape[2:]}")
-        if any(k != 1 for k in pw.shape[2:]):
-            raise ValueError("pointwise kernel must be 1 along every spatial axis")
-        if self.groups < 1 or dw.shape[0] % self.groups != 0:
-            raise ValueError(
-                f"groups ({self.groups}) must divide depthwise channels ({dw.shape[0]})"
-            )
-        if pw.shape[1] != dw.shape[0]:
-            raise ValueError(
-                f"pointwise expects {pw.shape[1]} channels but depthwise yields {dw.shape[0]}"
-            )
-        if b.shape != (pw.shape[0],):
-            raise ValueError(f"bias must be shaped ({pw.shape[0]},), got {b.shape}")
-
-    @property
-    def in_channels(self) -> int:
-        return self.depthwise.shape[1] * self.groups
-
-    @classmethod
-    def identity(cls, channels: int) -> "AdaConvKernelSet":
-        """Kernel set whose application is the identity map."""
-        dw = np.zeros((channels, 1) + _KERNEL)
-        dw[:, 0, 1, 1] = 1.0
-        pw = np.eye(channels).reshape((channels, channels, 1, 1))
-        return cls(dw, pw, np.zeros(channels), groups=channels)
-
-
-def adaconv_apply(content, kernels: AdaConvKernelSet) -> np.ndarray:
-    """Run the depthwise conv, the pointwise conv, then add the bias.
-
-    Reflect padding keeps spatial extent; order is fixed as
-    depthwise -> pointwise -> bias.
-    """
-    x = _check_feature_map(as_f64(content, "content"), "content")
-    if x.shape[0] != kernels.in_channels:
-        raise ValueError(
-            f"content has {x.shape[0]} channels but kernel set expects "
-            f"{kernels.in_channels}"
-        )
-    if x.ndim != kernels.depthwise.ndim - 1:
-        raise ValueError(
-            f"content rank {x.ndim - 1} does not match kernel rank "
-            f"{kernels.depthwise.ndim - 2}"
-        )
-    mid = conv(x, kernels.depthwise, padding="reflect", groups=kernels.groups)
-    out = conv(mid, kernels.pointwise, padding="reflect")
-    return out + kernels.bias.reshape((-1,) + (1,) * (x.ndim - 1))
-
-
-@dataclass(frozen=True)
-class KernelPredictor:
-    """Linear head mapping a style code to one kernel tensor.
-
-    Conv over the code, global average pooling, then a dense mix down to
-    the flattened target shape.  No biases anywhere, so a zero code
-    predicts a zero tensor.
-    """
-
-    conv_kernel: np.ndarray
-    mix: np.ndarray
-    target_shape: tuple[int, ...]
-
-    def predict(self, style_code: np.ndarray) -> np.ndarray:
-        z = conv(style_code, self.conv_kernel, padding="zero")
-        pooled = z.mean(axis=_spatial_axes(z))
-        return (self.mix @ pooled).reshape(self.target_shape)
-
-
-@dataclass(frozen=True)
-class KernelPredictorSet:
-    """Three fixed-seed heads predicting depthwise, pointwise and bias.
-
-    Untrained; exists so the predicted-kernel path can be exercised
-    deterministically end to end.
-    """
-
-    depthwise_head: KernelPredictor
-    pointwise_head: KernelPredictor
-    bias_head: KernelPredictor
-    in_channels: int
-    groups: int
-    seed: int
-
-    @classmethod
-    def from_seed(cls, seed: int, code_channels: int, channels: int) -> "KernelPredictorSet":
-        """Heads with 8 hidden channels predicting a depthwise (groups = channels) set."""
-        targets = ((channels, 1) + _KERNEL, (channels, channels, 1, 1), (channels,))
-        children = np.random.SeedSequence(seed).spawn(3)
-        heads = []
-        for child, target in zip(children, targets):
-            rng = np.random.default_rng(child)
-            ck = rng.normal(0.0, 0.1, size=(8, code_channels) + _KERNEL)
-            mix = rng.normal(0.0, 0.1, size=(int(np.prod(target)), 8))
-            heads.append(KernelPredictor(ck, mix, target))
-        return cls(heads[0], heads[1], heads[2], code_channels, channels, seed)
-
-    def predict(self, style_code) -> AdaConvKernelSet:
-        code = _check_feature_map(as_f64(style_code, "style_code"), "style_code")
-        if code.shape[0] != self.in_channels:
-            raise ValueError(
-                f"style code has {code.shape[0]} channels, predictor expects "
-                f"{self.in_channels}"
-            )
-        return AdaConvKernelSet(
-            self.depthwise_head.predict(code),
-            self.pointwise_head.predict(code),
-            self.bias_head.predict(code),
-            groups=self.groups,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +169,7 @@ def convlstm_cell(x, state: ConvLSTMState, weights: ConvLSTMWeights) -> ConvLSTM
             f"with {weights.hidden} hidden channels"
         )
     stacked = np.concatenate([xa, state.h], axis=0)
-    pre = conv(stacked, weights.kernel, padding="zero")
+    pre = conv(stacked, weights.kernel)
     pre += weights.bias.reshape((-1,) + (1,) * (xa.ndim - 1))
     hid = weights.hidden
     i = _sigmoid(pre[:hid])
@@ -417,7 +276,7 @@ class FixedFeatureExtractor:
         a = self._lift(image)
         activations = [a]
         for k, b in zip(self.kernels, self.biases):
-            z = conv(a, k, padding="zero") + b.reshape((-1,) + (1,) * (k.ndim - 2))
+            z = conv(a, k) + b.reshape((-1,) + (1,) * (k.ndim - 2))
             a = np.tanh(z)
             activations.append(a)
 
@@ -430,7 +289,7 @@ class FixedFeatureExtractor:
                 # adjoint of same-padded cross-correlation: swap the channel
                 # axes and flip every spatial axis, then correlate again
                 k_adj = np.flip(k, axis=tuple(range(2, k.ndim))).swapaxes(0, 1)
-                grad = conv(grad, k_adj, padding="zero")
+                grad = conv(grad, k_adj)
             return grad[0] if lifted_plain else grad
 
         return activations[-1], vjp
@@ -455,10 +314,15 @@ def _grams(f: np.ndarray) -> np.ndarray:
 # losses and analytic gradients
 
 
+def _l1_distance(pa: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mean |pa[i] - b| for each array of a stack pa (B, *b.shape)."""
+    return np.abs(pa - b).reshape(len(pa), -1).mean(axis=1)
+
+
 def loss_l1(a, b) -> float:
     """Mean absolute difference."""
     xa, xb = as_f64_pair(a, b, "a", "b")
-    return float(np.abs(xa - xb).mean())
+    return float(_l1_distance(xa[np.newaxis], xb)[0])
 
 
 def grad_loss_l1(a, b) -> np.ndarray:
@@ -473,10 +337,15 @@ def _adv_target(target) -> float:
     return float(target)
 
 
+def _adv_distance(ps: np.ndarray, target: float) -> np.ndarray:
+    """mean (ps[i] - target)^2 for each score array of a stack ps (B, ...)."""
+    return ((ps - target) ** 2).reshape(len(ps), -1).mean(axis=1)
+
+
 def loss_adv_mse(scores, target: float) -> float:
     """Mean squared distance of discriminator scores from a 0/1 target."""
     s = as_f64(scores, "scores")
-    return float(((s - _adv_target(target)) ** 2).mean())
+    return float(_adv_distance(s[np.newaxis], _adv_target(target))[0])
 
 
 def grad_loss_adv_mse(scores, target: float) -> np.ndarray:
@@ -550,15 +419,11 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
     """
     if loss_id == "l1":
         a, b = as_f64_pair(*inputs, "a", "b")
-        return (
-            lambda p: np.abs(p - b).reshape(len(p), -1).mean(axis=1)
-        ), grad_loss_l1(a, b)
+        return (lambda p: _l1_distance(p, b)), grad_loss_l1(a, b)
     if loss_id == "adv_mse":
         scores, target = inputs
         t = _adv_target(target)
-        return (
-            lambda p: ((p - t) ** 2).reshape(len(p), -1).mean(axis=1)
-        ), grad_loss_adv_mse(scores, target)
+        return (lambda p: _adv_distance(p, t)), grad_loss_adv_mse(scores, target)
     if loss_id == "feature":
         g, x, extractor = inputs
         ga, xa = as_f64_pair(g, x, "g", "x")
@@ -592,15 +457,19 @@ def grad_check(
 ) -> GradCheckReport:
     """Central-difference check of one analytic gradient.
 
-    Samples ``n_coords`` coordinates of the first input (all of them when
-    the array is smaller), perturbs each by +-h and reports the max
-    relative error with denominator max(|analytic|, |numeric|, 1e-8).
+    Samples ``n_coords`` >= 1 coordinates of the first input (all of them
+    when the array is smaller), perturbs each by a finite, positive +-h and
+    reports the max relative error, denominator max(|analytic|, |numeric|, 1e-8).
     Each probe moves exactly one coordinate; the 2 * n probes are
     evaluated as stacks of ``_PROBE_CHUNK``, so a feature loss makes one
     batched extractor pass per stack.
     For the L1 loss, coordinates whose difference is within 2h of a tie
     are excluded: the kink there makes finite differences meaningless.
     """
+    if n_coords < 1:
+        raise ValueError(f"n_coords must be at least 1, got {n_coords}")
+    if not 0.0 < h < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"h must be finite and positive, got {h}")
     value_fn, analytic = _loss_closure(loss_id, inputs)
     base = as_f64(inputs[0], "inputs[0]")
     if not np.all(np.isfinite(analytic)):

@@ -224,9 +224,10 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     """Exact Euclidean distance from every voxel to the nearest True voxel.
 
     ``spacing`` gives the per-axis voxel size (default 1), each finite and
-    positive, and small enough that the squared distance across the grid
-    is finite.  On integer (voxel) grids the result matches an all-pairs
-    scan bit for bit.  All-False masks yield +inf everywhere.
+    positive, small enough that the squared distance across the grid is
+    finite and large enough that each square is a normal float64.  On
+    integer (voxel) grids the result matches an all-pairs scan bit for bit.
+    All-False masks yield +inf everywhere.
     """
     m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
     if m.ndim == 0:
@@ -239,6 +240,8 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     if not math.hypot(*(s * (n - 1) for s, n in zip(spacing, m.shape))) < _SQRT_FLOAT_MAX / 2:
         raise ValueError(f"spacing {spacing} is too large for a {m.shape} grid: squared "
                          f"distances across it overflow float64")
+    if min(spacing) ** 2 < np.finfo(np.float64).tiny:  # subnormal squares lose digits or vanish
+        raise ValueError(f"spacing {spacing} is too small: its squares underflow float64")
     if not m.any():
         # scipy measures to a point outside the array here; there is no site
         return np.full(m.shape, np.inf)

@@ -1,12 +1,12 @@
 """Dense n-D array carriers and the windowed statistics built on them.
 
-Everything downstream (similarity metrics, adaptive kernels, phantom
+Everything downstream (similarity metrics, the kernels layer, phantom
 sequences) funnels through the small set of primitives in this module:
-grouped n-D cross-correlation and Gaussian-window moment maps.  The
+zero-padded n-D cross-correlation and Gaussian-window moment maps.  The
 cross-correlation is kn2row: one matrix product per kernel tap against
-the flattened, padded input shifted by that tap's offset, summed into one
-accumulator, so no window of the input is ever copied; channel groups
-and an optional leading batch axis are broadcast axes of those products.
+the flattened, zero-padded input shifted by that tap's offset, summed
+into one accumulator, so no window of the input is ever copied; an
+optional leading batch axis is a broadcast axis of those products.
 The Gaussian window is separable, so the moment maps are taken one axis
 at a time over all five maps at once, each pass a few matrix products
 with a banded matrix of the axis's taps; the variances and the covariance
@@ -21,7 +21,7 @@ Conventions:
     and batches of them (B, C, Z, Y, X), with spatial axes dropped for
     lower-rank data;
   * ``conv`` is a cross-correlation (deep-learning convention, kernel
-    not flipped);
+    not flipped) that zero-pads to keep the spatial size;
   * all operations are pure functions of their inputs.
 """
 
@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-
-PADDING_MODES = ("zero", "reflect", "valid")
 
 #: Most valid outputs per band block in ``windowed_moments``: each output
 #: then costs at most this many plus taps - 1 multiply-adds (26 for the
@@ -238,33 +236,27 @@ class Moments(NamedTuple):
     cov_xy: np.ndarray
 
 
-def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
-    """Grouped n-D cross-correlation over a channel-first array.
+def conv(x, kernel) -> np.ndarray:
+    """Zero-padded, size-preserving n-D cross-correlation over a channel-first array.
 
     Computed kn2row-style (Vasudevan, Anderson and Gregg 2017): the padded
     input's spatial axes are flattened, and for each kernel tap one matrix
     product of that tap's (C_out, C_in) weights with the flat input shifted
     by the tap's offset is added into an accumulator on the padded grid,
     whose wrapped-around columns are cropped at the end.  No window of the
-    input is copied; groups and the optional batch axis are broadcast axes
-    of the products.
+    input is copied; the optional batch axis is a broadcast axis of the
+    products.
 
     Args:
         x: input of shape (C_in, spatial...), or (B, C_in, spatial...) for a
             batch, which is read as such when its rank equals the kernel's.
-        kernel: weights of shape (C_out, C_in // groups, k_1, ..., k_n).
-        padding: 'zero' or 'reflect' keep the spatial size (odd kernels
-            only); 'valid' shrinks it by k - 1 per axis.
-        groups: channel groups; ``groups == C_in`` with a (C, 1, k...) kernel
-            is a depthwise pass.
+        kernel: weights of shape (C_out, C_in, k_1, ..., k_n), each k_i odd.
 
     Returns:
         Array of shape (C_out, spatial...), or (B, C_out, spatial...).
     """
     x = as_f64(x, "conv input")
     k = as_f64(kernel, "conv kernel")
-    if padding not in PADDING_MODES:
-        raise ValueError(f"unknown padding {padding!r}, expected one of {PADDING_MODES}")
     if x.ndim < 2:
         raise ValueError("conv input must have a channel axis plus spatial axes")
     n_sp = k.ndim - 2
@@ -276,51 +268,38 @@ def conv(x, kernel, padding: str = "zero", groups: int = 1) -> np.ndarray:
         )
     lead = x.shape[: x.ndim - n_sp - 1]  # () or (B,)
     c_in = x.shape[len(lead)]
-    c_out, c_per_group = k.shape[:2]
-    if groups < 1 or c_in % groups or c_out % groups:
-        raise ValueError(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
-    if c_per_group != c_in // groups:
+    c_out = k.shape[0]
+    if k.shape[1] != c_in:
         layout = "(B, C_in, spatial...)" if lead else "(C_in, spatial...)"
         raise ValueError(
-            f"kernel expects {c_per_group} channels per group, input provides "
-            f"{c_in // groups} (C_in={c_in}, groups={groups}; a rank-{x.ndim} "
-            f"input reads as {layout})"
+            f"kernel expects {k.shape[1]} input channels, input provides {c_in} "
+            f"(a rank-{x.ndim} input reads as {layout})"
         )
     kshape = k.shape[2:]
+    if any(ks % 2 == 0 for ks in kshape):
+        raise ValueError(f"conv keeps the spatial size only for odd kernel sizes, got {kshape}")
     spatial = x.shape[-n_sp:]
-    if padding == "valid":
-        out_sp = tuple(n - ks + 1 for n, ks in zip(spatial, kshape))
-        if any(n < 1 for n in out_sp):
-            raise ValueError(
-                f"kernel {kshape} does not fit in spatial extent {spatial} (valid mode)"
-            )
-        halves = (0,) * n_sp
-    else:
-        if any(ks % 2 == 0 for ks in kshape):
-            raise ValueError(f"padding '{padding}' needs odd kernel sizes, got {kshape}")
-        out_sp = spatial
-        halves = tuple(ks // 2 for ks in kshape)
     # one spare slab after the first spatial axis keeps every tap's shifted
     # read in bounds; it feeds only columns that are cropped away
-    pads = [(0, 0)] * (x.ndim - n_sp) + [(h, h + (i == 0)) for i, h in enumerate(halves)]
-    xp = np.pad(x, pads, mode="reflect" if padding == "reflect" else "constant")
+    halves = [ks // 2 for ks in kshape]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - n_sp) + [(h, h + (i == 0)) for i, h in enumerate(halves)])
 
     # output position p reads tap t at flat column (p + t) . strides of the
     # padded grid; rows of the accumulator run the padded grid's full width
     padded = xp.shape[-n_sp:]
     strides = np.cumprod((1,) + padded[:0:-1])[::-1]  # row-major, in elements
     offsets = np.dot(list(np.ndindex(*kshape)), strides)
-    width = out_sp[0] * int(strides[0])
-    flat = xp.reshape(lead + (groups, c_in // groups, -1))
-    taps = np.moveaxis(k.reshape(groups, c_out // groups, c_per_group, -1), -1, 0).copy()
+    width = spatial[0] * int(strides[0])
+    flat = xp.reshape(lead + (c_in, -1))
+    taps = np.moveaxis(k.reshape(c_out, c_in, -1), -1, 0).copy()
     acc = np.matmul(taps[0], flat[..., :width])  # the first tap's offset is 0
     part = np.empty_like(acc)
     for tap, offset in zip(taps[1:], offsets[1:]):
         np.matmul(tap, flat[..., offset : offset + width], out=part)
         acc += part
     del part  # before the cropped copy, which bounds the peak memory
-    acc = acc.reshape(lead + (c_out, out_sp[0]) + padded[1:])
-    return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in out_sp[1:])])
+    acc = acc.reshape(lead + (c_out, spatial[0]) + padded[1:])
+    return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in spatial[1:])])
 
 
 def _band_correlate(s: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:

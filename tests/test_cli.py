@@ -201,6 +201,20 @@ class TestDistMap:
         assert not wpath.exists()
 
     @pytest.mark.parametrize("spacing, message", [
+        ([1e-200, 1e-200], "is too small: its squares underflow float64"),
+        ([1e200, 1e200], "squared distances across it overflow float64"),
+    ], ids=["underflow", "overflow"])
+    def test_physical_mode_rejects_spacing_the_edt_cannot_square(
+            self, tmp_path, capsys, spacing, message):
+        # unchecked, 1e-200 gave an all-zero distance map: a uniform 0.1 weighting
+        mpath = _mask_with_sidecar_spacing(tmp_path, spacing)
+        wpath = tmp_path / "w.raw"
+        rc = main(["distmap", "--mask", str(mpath), "--out", str(wpath), "--mode", "physical"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not wpath.exists() and not (tmp_path / "w.raw.json").exists()
+
+    @pytest.mark.parametrize("spacing, message", [
         ([float("nan"), 0.0], "finite and positive"),
         ([-1.0, 1.0], "finite and positive"),
         ([float("inf"), 1.0], "finite and positive"),

@@ -6,13 +6,10 @@ import pytest
 
 from dcemetrics import kernels
 from dcemetrics.kernels import (
-    AdaConvKernelSet,
     ConvLSTMState,
     ConvLSTMWeights,
     FixedFeatureExtractor,
     GradCheckReport,
-    KernelPredictorSet,
-    adaconv_apply,
     adain,
     bidirectional_convlstm,
     convlstm_cell,
@@ -86,120 +83,6 @@ class TestAdaIN:
     def test_bad_eps(self):
         with pytest.raises(ValueError, match="eps"):
             adain(np.zeros((1, 4, 4)), np.ones((1, 4, 4)), eps=0.0)
-
-
-class TestAdaConv:
-    def test_identity_kernel_set_is_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 6, 6))
-        ks = AdaConvKernelSet.identity(4)
-        npt.assert_array_equal(adaconv_apply(x, ks), x)
-
-    def test_zero_kernels_give_bias(self):
-        x = np.ones((2, 5, 5))
-        ks = AdaConvKernelSet(
-            np.zeros((2, 1, 3, 3)),
-            np.zeros((2, 2, 1, 1)),
-            np.array([1.5, -2.0]),
-            groups=2,
-        )
-        out = adaconv_apply(x, ks)
-        npt.assert_array_equal(out[0], np.full((5, 5), 1.5))
-        npt.assert_array_equal(out[1], np.full((5, 5), -2.0))
-
-    def test_matches_brute_force_composition(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 6, 6))
-        dw = rng.normal(size=(4, 2, 3, 3))  # groups=2: two channels per group
-        pw = rng.normal(size=(3, 4, 1, 1))
-        bias = rng.normal(size=3)
-        ks = AdaConvKernelSet(dw, pw, bias, groups=2)
-        mid = brute_conv(x, dw, padding="reflect", groups=2)
-        expected = brute_conv(mid, pw, padding="reflect") + bias[:, None, None]
-        npt.assert_allclose(adaconv_apply(x, ks), expected, atol=1e-12)
-
-    def test_channel_mismatch(self):
-        ks = AdaConvKernelSet.identity(4)
-        with pytest.raises(ValueError, match="channels"):
-            adaconv_apply(np.zeros((3, 5, 5)), ks)
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            AdaConvKernelSet(
-                np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 1, 1)), np.zeros(2)
-            )
-
-    def test_group_divisibility(self):
-        with pytest.raises(ValueError, match="groups"):
-            AdaConvKernelSet(
-                np.zeros((3, 1, 3, 3)), np.zeros((3, 3, 1, 1)), np.zeros(3), groups=2
-            )
-
-
-class TestKernelPrediction:
-    def test_deterministic_for_seed(self):
-        rng = np.random.default_rng(5)
-        code = rng.normal(size=(2, 8, 8))
-        p1 = KernelPredictorSet.from_seed(42, code_channels=2, channels=4)
-        p2 = KernelPredictorSet.from_seed(42, code_channels=2, channels=4)
-        k1, k2 = p1.predict(code), p2.predict(code)
-        npt.assert_array_equal(k1.depthwise, k2.depthwise)
-        npt.assert_array_equal(k1.pointwise, k2.pointwise)
-        npt.assert_array_equal(k1.bias, k2.bias)
-
-    def test_zero_code_predicts_zero_kernels(self):
-        p = KernelPredictorSet.from_seed(7, code_channels=2, channels=4)
-        ks = p.predict(np.zeros((2, 8, 8)))
-        npt.assert_array_equal(ks.depthwise, 0.0)
-        npt.assert_array_equal(ks.pointwise, 0.0)
-        npt.assert_array_equal(ks.bias, 0.0)
-
-    def test_prediction_is_linear_in_code(self):
-        rng = np.random.default_rng(6)
-        p = KernelPredictorSet.from_seed(9, code_channels=2, channels=4)
-        a, b = rng.normal(size=(2, 8, 8)), rng.normal(size=(2, 8, 8))
-        lhs = p.predict(2.0 * a + b)
-        npt.assert_allclose(
-            lhs.depthwise,
-            2.0 * p.predict(a).depthwise + p.predict(b).depthwise,
-            atol=1e-12,
-        )
-
-    def test_channel_mismatch(self):
-        p = KernelPredictorSet.from_seed(9, code_channels=2, channels=4)
-        with pytest.raises(ValueError, match="channels"):
-            p.predict(np.zeros((3, 8, 8)))
-
-    def test_seed42_golden_sums(self):
-        # frozen after the first inspected run; guards against silent drift
-        # in the seeding scheme or the head architecture
-        code = np.fromfunction(
-            lambda c, i, j: (c + 1) * np.sin(i * 0.7) * np.cos(j * 0.3),
-            (2, 8, 8),
-        )
-        p = KernelPredictorSet.from_seed(42, code_channels=2, channels=4)
-        ks = p.predict(code)
-        golden = (
-            float(ks.depthwise.sum()),
-            float(ks.pointwise.sum()),
-            float(ks.bias.sum()),
-        )
-        expected = GOLDEN_SEED42_SUMS
-        npt.assert_allclose(golden, expected, rtol=1e-12)
-
-    def test_predicted_set_applies(self):
-        rng = np.random.default_rng(8)
-        p = KernelPredictorSet.from_seed(11, code_channels=2, channels=4)
-        ks = p.predict(rng.normal(size=(2, 8, 8)))
-        out = adaconv_apply(rng.normal(size=(4, 6, 6)), ks)
-        assert out.shape == (4, 6, 6)
-
-
-GOLDEN_SEED42_SUMS = (
-    0.04673585961605427,
-    0.0037073412904232664,
-    -0.006867594472663706,
-)
 
 
 class TestConvLSTMCell:
@@ -566,6 +449,39 @@ class TestGradCheck:
     def test_unknown_loss_id(self):
         with pytest.raises(ValueError, match="loss_id"):
             grad_check("nope", (np.zeros(4), np.zeros(4)), seed=0)
+
+    @pytest.mark.parametrize("n_coords", [0, -3])
+    def test_rejects_n_coords_below_one(self, n_coords):
+        # unchecked, 0 reported ok with nothing checked and -3 raised numpy's
+        # "negative dimensions are not allowed"
+        a, b = np.random.default_rng(42).normal(size=(2, 4, 4))
+        with pytest.raises(ValueError, match=f"^n_coords must be at least 1, got {n_coords}$"):
+            grad_check("l1", (a, b), seed=0, n_coords=n_coords)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan])
+    def test_rejects_h_not_finite_and_positive(self, h):
+        # unchecked, 0 divided by zero into a "non-finite probe" report and inf
+        # reported every coordinate tied
+        a, b = np.random.default_rng(42).normal(size=(2, 4, 4))
+        with pytest.raises(ValueError, match="^h must be finite and positive, got "):
+            grad_check("l1", (a, b), seed=0, h=h)
+
+    @pytest.mark.parametrize("loss_id", kernels.LOSS_IDS)
+    def test_value_fn_is_the_public_loss(self, loss_id):
+        # the check must probe the public loss itself, not a second copy of
+        # its formula that could drift from it
+        rng = np.random.default_rng(43)
+        first, second = rng.normal(size=(2, 9, 9))
+        ex = FixedFeatureExtractor.from_seed(4)
+        public, rest = {
+            "l1": (loss_l1, (second,)),
+            "adv_mse": (loss_adv_mse, (1.0,)),
+            "feature": (loss_feature, (second, ex)),
+            "style_frob": (loss_style_frob, (second, ex)),
+        }[loss_id]
+        value_fn, _ = kernels._loss_closure(loss_id, (first, *rest))
+        probes = rng.normal(size=(3, 9, 9))
+        assert value_fn(probes).tolist() == [public(p, *rest) for p in probes]
 
     def test_report_serializes(self):
         rng = np.random.default_rng(37)

@@ -171,6 +171,23 @@ class TestDistanceTransform:
         with pytest.raises(ValueError, match=r"^spacing \("):
             distance_map(mask, spacing, "physical")
 
+    @pytest.mark.parametrize("spacing", [(1e-200, 1e-200), (1e-160, 1e-160), (1.0, 1e-155)])
+    def test_underflowing_spacing_named(self, spacing):
+        # unchecked, 1e-200 gave all zeros (a uniform 0.1 weighting without the
+        # all-CE note) and 1e-160 gave 9.99994e-161 for a distance of 1e-160
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        with pytest.raises(ValueError, match=r"^spacing \(.* is too small: its squares underflow"):
+            distance_transform(mask, spacing)
+        with pytest.raises(ValueError, match=r"^spacing \(.* is too small"):
+            distance_map(mask, spacing, "physical")
+
+    def test_tiny_spacing_that_squares_normally_kept(self):
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        got = distance_transform(mask, (1.5e-154, 1.5e-154))
+        npt.assert_allclose(got, brute_force_edt(mask) * 1.5e-154, rtol=1e-12)
+
     def test_huge_spacing_that_squares_finitely_kept(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
