@@ -30,7 +30,7 @@ from .io import (
     write_report,
     write_tensor,
 )
-from .kernels import run_grad_checks
+from .kernels import GRAD_CHECK_TOL, run_grad_checks
 from .metrics import (
     DIRECTIONS,
     METRIC_FIELDS,
@@ -183,6 +183,11 @@ def _cmd_gradcheck(args) -> int:
         print(f"{r.loss_id}: max_rel_error={r.max_rel_error:.3e} ok={r.ok}")
     if not all(r.ok for r in reports):
         raise ValueError("gradient check produced a non-finite result")
+    over = [
+        f"{r.loss_id} ({r.max_rel_error:.3e})" for r in reports if r.max_rel_error > GRAD_CHECK_TOL
+    ]
+    if over:
+        raise ValueError(f"max_rel_error above {GRAD_CHECK_TOL:g}: {', '.join(over)}")
     return 0
 
 

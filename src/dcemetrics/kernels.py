@@ -402,6 +402,10 @@ class GradCheckReport:
 # probes per value_fn call; bounds the memory of one batched extractor pass
 _PROBE_CHUNK = 32
 
+#: Largest ``max_rel_error`` a passing gradient check reports (acceptance
+#: criterion 06); ``dcemetrics gradcheck`` fails above it.
+GRAD_CHECK_TOL = 1e-4
+
 
 def _probe_batch(probes: np.ndarray, fixed_features: np.ndarray) -> np.ndarray:
     """Give a stack of plain-image probes the channel axis the extractor expects."""

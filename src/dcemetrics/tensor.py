@@ -3,10 +3,13 @@
 Everything downstream (similarity metrics, the kernels layer, phantom
 sequences) funnels through the small set of primitives in this module:
 zero-padded n-D cross-correlation and Gaussian-window moment maps.  The
-cross-correlation is kn2row: one matrix product per kernel tap against
-the flattened, zero-padded input shifted by that tap's offset, summed
-into one accumulator, so no window of the input is ever copied; an
-optional leading batch axis is a broadcast axis of those products.
+cross-correlation is kn2row (Vasudevan, Anderson and Gregg 2017) with the
+first spatial axis's row shifts stacked into the contraction: the input's
+k0 row-shifted copies are written once into one zeroed stack, and each tap
+of the other axes is one matrix product of that stack, flattened and
+shifted by the tap's offset, summed into one accumulator (3 products for
+a 3x3 kernel, 9 for 3x3x3); an optional leading batch axis is a broadcast
+axis of those products.
 The Gaussian window is separable, so the moment maps are taken one axis
 at a time over all five maps at once, each pass a few matrix products
 with a banded matrix of the axis's taps; the variances and the covariance
@@ -239,13 +242,16 @@ class Moments(NamedTuple):
 def conv(x, kernel) -> np.ndarray:
     """Zero-padded, size-preserving n-D cross-correlation over a channel-first array.
 
-    Computed kn2row-style (Vasudevan, Anderson and Gregg 2017): the padded
-    input's spatial axes are flattened, and for each kernel tap one matrix
-    product of that tap's (C_out, C_in) weights with the flat input shifted
-    by the tap's offset is added into an accumulator on the padded grid,
-    whose wrapped-around columns are cropped at the end.  No window of the
-    input is copied; the optional batch axis is a broadcast axis of the
-    products.
+    Computed kn2row-style (Vasudevan, Anderson and Gregg 2017), with the k0
+    row shifts of the first spatial axis stacked into the contraction: each
+    shifted copy of the input is written straight into one zeroed stack
+    (k0, C_in, rows, padded other axes), without ``np.pad``.  The stack's
+    spatial axes are flattened, and for each tap of the other axes one
+    matrix product of its (C_out, k0 * C_in) weights with the flat stack
+    shifted by the tap's offset is added into an accumulator on the padded
+    grid, whose wrapped-around columns are cropped at the end: 3 products
+    for a 3x3 kernel, 9 for 3x3x3.  No window of the input is copied; the
+    optional batch axis is a broadcast axis of the products.
 
     Args:
         x: input of shape (C_in, spatial...), or (B, C_in, spatial...) for a
@@ -279,26 +285,39 @@ def conv(x, kernel) -> np.ndarray:
     if any(ks % 2 == 0 for ks in kshape):
         raise ValueError(f"conv keeps the spatial size only for odd kernel sizes, got {kshape}")
     spatial = x.shape[-n_sp:]
-    # one spare slab after the first spatial axis keeps every tap's shifted
-    # read in bounds; it feeds only columns that are cropped away
-    halves = [ks // 2 for ks in kshape]
-    xp = np.pad(x, [(0, 0)] * (x.ndim - n_sp) + [(h, h + (i == 0)) for i, h in enumerate(halves)])
+    n0, k0 = spatial[0], kshape[0]
+    h0 = k0 // 2
+    # stack[..., s, :, j] holds input row j + s - h0, zero where that row is
+    # outside the input, so each row shift s of the first axis is one block
+    # of the products' contraction.  The other axes are zero-padded, and one
+    # spare row after the first axis keeps every tap's shifted read in
+    # bounds; it feeds only columns that are cropped away
+    halves = [ks // 2 for ks in kshape[1:]]
+    padded = (n0 + 1,) + tuple(n + 2 * h for n, h in zip(spatial[1:], halves))
+    stack = np.zeros(lead + (k0, c_in) + padded)
+    inner = tuple(slice(h, h + n) for h, n in zip(halves, spatial[1:]))
+    for s in range(k0):
+        lo, hi = max(0, h0 - s), min(n0, n0 + h0 - s)
+        if lo < hi:  # a kernel longer than the axis has shifts with no overlap
+            rows = x[(..., slice(lo + s - h0, hi + s - h0)) + (slice(None),) * (n_sp - 1)]
+            stack[(..., s, slice(None), slice(lo, hi)) + inner] = rows
 
-    # output position p reads tap t at flat column (p + t) . strides of the
-    # padded grid; rows of the accumulator run the padded grid's full width
-    padded = xp.shape[-n_sp:]
+    # output position p reads tap t of the other axes at flat column
+    # (p + t) . strides of the padded grid; rows of the accumulator run the
+    # padded grid's full width
     strides = np.cumprod((1,) + padded[:0:-1])[::-1]  # row-major, in elements
-    offsets = np.dot(list(np.ndindex(*kshape)), strides)
-    width = spatial[0] * int(strides[0])
-    flat = xp.reshape(lead + (c_in, -1))
-    taps = np.moveaxis(k.reshape(c_out, c_in, -1), -1, 0).copy()
+    offsets = [sum(i * st for i, st in zip(t, strides[1:])) for t in np.ndindex(*kshape[1:])]
+    width = n0 * int(strides[0])
+    flat = stack.reshape(lead + (k0 * c_in, -1))
+    # (C_out, k0 * C_in) weights per tap of the other axes, shift-major like the stack
+    taps = np.moveaxis(k.swapaxes(1, 2).reshape(c_out, k0 * c_in, -1), -1, 0).copy()
     acc = np.matmul(taps[0], flat[..., :width])  # the first tap's offset is 0
     part = np.empty_like(acc)
     for tap, offset in zip(taps[1:], offsets[1:]):
         np.matmul(tap, flat[..., offset : offset + width], out=part)
         acc += part
     del part  # before the cropped copy, which bounds the peak memory
-    acc = acc.reshape(lead + (c_out, spatial[0]) + padded[1:])
+    acc = acc.reshape(lead + (c_out, n0) + padded[1:])
     return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in spatial[1:])])
 
 

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from dcemetrics import __version__
-from dcemetrics import io
+from dcemetrics import io, kernels
 from dcemetrics.cli import main
 from dcemetrics.io import canonical_bytes, read_header, read_report, read_tensor, write_tensor
 from dcemetrics.metrics import METRIC_FIELDS
@@ -502,6 +502,15 @@ class TestGradcheckCLI:
         assert payload["provenance"]["seed"] == 5
         printed = capsys.readouterr().out
         assert "max_rel_error" in printed
+
+    def test_error_above_tolerance_exits_1(self, monkeypatch, capsys):
+        # a wrong but finite gradient: grad_check still reports ok=True
+        grad = kernels.grad_loss_l1
+        monkeypatch.setattr(kernels, "grad_loss_l1", lambda a, b: 1.5 * grad(a, b))
+        assert main(["gradcheck", "--seed", "0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error: max_rel_error above 0.0001: l1 (3.333e-01)")
+        assert "adv_mse" not in err[-1]
 
 
 class TestReportMerge:

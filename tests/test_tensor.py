@@ -173,14 +173,37 @@ class TestConv:
         with pytest.raises(ValueError, match=r"input channels.*reads as \(B, C_in, spatial"):
             conv(xb, np.ones((2, 3, 3, 3)))
 
-    @pytest.mark.parametrize("shape, c_out", [((12, 64, 64), 32), ((4, 8, 12, 12), 8)])
-    def test_peak_memory_linear_in_voxels(self, shape, c_out):
-        # bound: four times the bytes of the input plus the output
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_brute_force(self, data):
+        # kernels longer than the axis give row shifts with no overlap at all
+        rank = data.draw(st.integers(1, 3))
+        spatial = tuple(data.draw(st.integers(1, 8)) for _ in range(rank))
+        kshape = tuple(data.draw(st.sampled_from([1, 3, 5])) for _ in range(rank))
+        c_in, c_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        xb = rng.normal(size=(2, c_in) + spatial)
+        k = rng.normal(size=(c_out, c_in) + kshape)
+        out = conv(xb, k)
+        assert out.shape == (2, c_out) + spatial
+        for x, got in zip(xb, out):
+            npt.assert_array_equal(got, conv(x, k))
+            npt.assert_allclose(got, brute_conv(x, k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, c_out, batched",
+        [((12, 64, 64), 32, False), ((4, 8, 12, 12), 8, False), ((32, 16, 14, 14), 16, True)],
+        ids=["shape0-32", "shape1-8", "shape2-16"],
+    )
+    def test_peak_memory_linear_in_voxels(self, shape, c_out, batched):
+        # bound: four times the bytes of the input plus the output, over the
+        # whole batch; the batched case is the extractor's grad-check probe layer
         rng = np.random.default_rng(19)
         x = rng.normal(size=shape)
-        k = rng.normal(size=(c_out, shape[0]) + (3,) * (len(shape) - 1))
+        c_in = shape[int(batched)]
+        k = rng.normal(size=(c_out, c_in) + (3,) * (len(shape) - 1 - batched))
         peak = _traced_peak(lambda: conv(x, k))
-        io_bytes = x.nbytes + 8 * c_out * x[0].size
+        io_bytes = x.nbytes + 8 * c_out * (x.size // c_in)
         assert peak <= 4 * io_bytes, f"peak {peak / io_bytes:.1f} x input plus output bytes"
 
 
