@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcemetrics import tensor
 from dcemetrics.tensor import (
     GaussianWindow,
     TensorND,
@@ -186,6 +187,22 @@ class TestConv:
         k = rng.normal(size=(c_out, c_in) + kshape)
         out = conv(xb, k)
         assert out.shape == (2, c_out) + spatial
+        for x, got in zip(xb, out):
+            npt.assert_array_equal(got, conv(x, k))
+            npt.assert_allclose(got, brute_conv(x, k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("items_per_block", [1, 2, 5])
+    def test_batch_blocks_match_items(self, monkeypatch, items_per_block):
+        # a stack budget of 1 or 2 items splits a batch of five into blocks,
+        # the last one shorter; the 5-row kernel on a 2-row axis leaves row
+        # shifts with no overlap, whose zeros every block reuses
+        rng = np.random.default_rng(23)
+        xb = rng.normal(size=(5, 3, 2, 7))
+        k = rng.normal(size=(4, 3, 5, 3))
+        item_bytes = 8 * 5 * 3 * (2 + 1) * (7 + 2)  # k0 * C_in * padded grid
+        monkeypatch.setattr(tensor, "_CONV_STACK_BYTES", items_per_block * item_bytes)
+        out = conv(xb, k)
+        assert out.shape == (5, 4, 2, 7)
         for x, got in zip(xb, out):
             npt.assert_array_equal(got, conv(x, k))
             npt.assert_allclose(got, brute_conv(x, k), rtol=0, atol=1e-12)
