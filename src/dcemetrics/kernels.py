@@ -55,8 +55,13 @@ def _spatial_axes(x: np.ndarray) -> tuple[int, ...]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function of ``z``, computed in place over ``z``."""
     # exact identity; tanh saturates instead of overflowing for any z
-    return 0.5 * np.tanh(0.5 * z) + 0.5
+    z *= 0.5
+    np.tanh(z, out=z)
+    z *= 0.5
+    z += 0.5
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +177,15 @@ def convlstm_cell(x, state: ConvLSTMState, weights: ConvLSTMWeights) -> ConvLSTM
     pre = conv(stacked, weights.kernel)
     pre += weights.bias.reshape((-1,) + (1,) * (xa.ndim - 1))
     hid = weights.hidden
+    # the gates are computed in place in the fresh pre-activations
     i = _sigmoid(pre[:hid])
     f = _sigmoid(pre[hid : 2 * hid])
-    g = np.tanh(pre[2 * hid : 3 * hid])
+    g = np.tanh(pre[2 * hid : 3 * hid], out=pre[2 * hid : 3 * hid])
     o = _sigmoid(pre[3 * hid :])
-    c_new = f * state.c + i * g
-    h_new = o * np.tanh(c_new)
+    c_new = np.multiply(f, state.c)
+    c_new += np.multiply(i, g, out=i)
+    h_new = np.tanh(c_new)
+    h_new *= o
     return ConvLSTMState(h_new, c_new)
 
 
@@ -276,8 +284,9 @@ class FixedFeatureExtractor:
         a = self._lift(image)
         activations = [a]
         for k, b in zip(self.kernels, self.biases):
-            z = conv(a, k) + b.reshape((-1,) + (1,) * (k.ndim - 2))
-            a = np.tanh(z)
+            z = conv(a, k)
+            z += b.reshape((-1,) + (1,) * (k.ndim - 2))
+            a = np.tanh(z, out=z)
             activations.append(a)
 
         lifted_plain = np.asarray(image).ndim == a.ndim - 1
@@ -285,7 +294,11 @@ class FixedFeatureExtractor:
         def vjp(cotangent: np.ndarray) -> np.ndarray:
             grad = np.asarray(cotangent, dtype=np.float64)
             for k, out in zip(reversed(self.kernels), reversed(activations[1:])):
-                grad = grad * (1.0 - out**2)  # through tanh
+                # through tanh: grad * (1 - out^2), in one fresh map (out is kept)
+                d = np.square(out)
+                np.subtract(1.0, d, out=d)
+                d *= grad
+                grad = d
                 # adjoint of same-padded cross-correlation: swap the channel
                 # axes and flip every spatial axis, then correlate again
                 k_adj = np.flip(k, axis=tuple(range(2, k.ndim))).swapaxes(0, 1)

@@ -17,7 +17,12 @@ Pipeline for one (generated, content, style) triple:
 Every SSIM-family score needs only the means of its luminance and
 contrast-structure maps, so ``_slab_means`` takes the windowed moments in
 slabs of rows along the leading axis and sums each slab into running
-totals; no moment or SSIM map is ever image-sized.
+totals; no moment or SSIM map is ever image-sized.  Each scoring call makes
+one ``tensor.Workspace`` for those maps: a public ``ssim``, ``ms_ssim`` or
+``cw_ssim`` call one of its own, ``evaluate_triple`` one for all three
+SSIM-family pairs of a triple, which it scores, and its PSNR, through the
+same private stages as the public functions, so its inputs are checked
+once.
 
 Distances come from scipy's exact Euclidean distance transform, so
 weightings are reproducible down to the last bit across runs.
@@ -38,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .tensor import (WINDOW_SIZE, GaussianWindow, VolumeSequence, as_f64, as_f64_pair,
-                     check_spacing, windowed_moments)
+from .tensor import (WINDOW_SIZE, GaussianWindow, VolumeSequence, Workspace, as_f64,
+                     as_f64_pair, check_spacing, windowed_moments)
 
 logger = logging.getLogger(__name__)
 
@@ -339,7 +344,7 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
 
 
 def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
-                 w=None) -> tuple[float, float]:
+                 w=None, ws: Workspace | None = None) -> tuple[float, float]:
     """(SSIM, MS-SSIM) of a checked pair over ``n_scales`` dyadic scales.
 
     SSIM is MS-SSIM's first-scale term.  With ``per_slice`` a volume is
@@ -347,8 +352,12 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
     One window serves every scale: each scale ``ms_ssim_scale_count``
     admits still holds the full-resolution window on every axis.  ``w``,
     checked weights of the pair's shape, multiplies both images voxelwise
-    before scoring; only single-scale calls pass it.
+    before scoring; only single-scale calls pass it.  Every slab of every
+    scale and slice takes its maps from ``ws`` (a fresh ``Workspace`` if
+    None), which a caller scoring several pairs passes to each.
     """
+    if ws is None:
+        ws = Workspace()
     c1 = (_K1 * data_range) ** 2
     c2 = (_K2 * data_range) ** 2
     slices = range(xa.shape[0]) if per_slice and xa.ndim == 3 else [Ellipsis]
@@ -362,23 +371,26 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
         for scale in range(n_scales):
             if scale:
                 x, y = _downsample2(x), _downsample2(y)
-            per_scale.append(_slab_means(x, y, None if w is None else w[i], window, c1, c2))
+            per_scale.append(_slab_means(x, y, None if w is None else w[i], window, c1, c2,
+                                         ws))
         terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
         ssims.append(per_scale[0][0])
         ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))
     return float(np.mean(ssims)), float(np.mean(ms_ssims))
 
 
-def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float) -> tuple[float, float]:
+def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
+                ws: Workspace) -> tuple[float, float]:
     """Means of lum * cs and of cs over every valid window position of (x, y).
 
     The valid output rows along the leading axis are split into equal slabs
     of at most S rows, S from ``tensor._SLAB_BYTES``; each slab's inputs are
-    views of its S rows plus the window's k0 - 1 halo rows (times ``w``, if
-    given), and its ``windowed_moments`` maps are summed into running
-    totals, so no map is ever image-sized.  The luminance and
-    contrast-structure maps are formed in place in each slab's fresh maps,
-    each formula evaluated left to right as written.
+    views of its S rows plus the window's k0 - 1 halo rows, and its
+    ``windowed_moments`` maps are summed into running totals, so no map is
+    ever image-sized.  With ``w`` the weighted inputs are written straight
+    into the first two maps of the slab's moment stack in ``ws``.  The
+    luminance and contrast-structure maps are formed in place in each
+    slab's maps, each formula evaluated left to right as written.
     """
     k0 = window.sizes[0]
     n_out = x.shape[0] - k0 + 1
@@ -392,8 +404,11 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float) -> tuple[
         rows_in = slice(lo, min(lo + rows, n_out) + k0 - 1)
         xs, ys = x[rows_in], y[rows_in]
         if w is not None:
-            xs, ys = xs * w[rows_in], ys * w[rows_in]
-        mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, window)
+            stack = ws.take(0, (5,) + xs.shape)
+            xs = np.multiply(xs, w[rows_in], out=stack[0])
+            ys = np.multiply(ys, w[rows_in], out=stack[1])
+        # positional: the benchmark's tracer and the tests wrap this global as *args
+        mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, window, ws)
         # cs = (2 cov + c2) / (var_x + var_y + c2)
         cs *= 2.0
         cs += c2
@@ -525,7 +540,12 @@ def psnr(reference, test, peak: float | None = None) -> float:
     ref, tst = as_f64_pair(reference, test, "reference", "test")
     peak = _resolve_peak(ref, peak)
     with _named_overflow(reference=ref, test=tst):
-        mse = float(np.mean((ref - tst) ** 2))
+        return _psnr(ref, tst, peak)
+
+
+def _psnr(ref: np.ndarray, tst: np.ndarray, peak: float) -> float:
+    """PSNR of a checked pair at a checked peak."""
+    mse = float(np.mean((ref - tst) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -553,7 +573,10 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     under the plain map and style agreement under the inverted map.  One
     shared dynamic range, from the unweighted content image unless
     ``params.data_range`` is set, feeds every SSIM-family score; it and
-    PSNR's peak are checked, like the inputs, before any stage runs.
+    PSNR's peak are checked, like the inputs, before any stage runs.  The
+    scores come from the private stages behind ``psnr``, ``ssim``,
+    ``ms_ssim`` and ``cw_ssim``, so nothing is checked twice, and the
+    three SSIM-family pairs share one moment ``Workspace``.
     """
     params = params or EvalParams()
     if params.direction not in DIRECTIONS:
@@ -578,7 +601,7 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
             f"match images {gen.shape}"
         )
     per_slice = params.slice_mode == "2d" and gen.ndim == 3
-    sp = SSIMParams(data_range=_resolve_range(con, params.data_range), per_slice=per_slice)
+    data_range = _resolve_range(con, params.data_range)
     peak = _resolve_peak(sty, params.peak)
     used = ms_ssim_scale_count(gen.shape[1:] if per_slice else gen.shape, params.ms_ssim)
 
@@ -595,14 +618,17 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
 
     if used < params.ms_ssim.scales:
         notes.append(f"ms_ssim used {used} of {params.ms_ssim.scales} scales")
+    ws = Workspace()
     with _named_overflow(generated=gen, content=con, style=sty):
-        ssim_cg, ms_ssim_cg = _ssim_family(con, gen, sp.data_range, per_slice, used)
+        psnr_sg = _psnr(sty, gen, peak)
+        ssim_cg, ms_ssim_cg = _ssim_family(con, gen, data_range, per_slice, used, ws=ws)
         return MetricReport(
-            psnr_style_vs_gen=psnr(sty, gen, peak),
+            psnr_style_vs_gen=psnr_sg,
             ssim_content_vs_gen=ssim_cg,
             ms_ssim_content_vs_gen=ms_ssim_cg,
-            cw_ssim_content=cw_ssim(gen, con, dm, sp, mode="content"),
-            cw_ssim_style=cw_ssim(gen, sty, dm_inv, sp, mode="style"),
+            cw_ssim_content=_ssim_family(gen, con, data_range, per_slice, 1, dm.weights, ws)[0],
+            cw_ssim_style=_ssim_family(gen, sty, data_range, per_slice, 1, dm_inv.weights,
+                                       ws)[0],
             direction=params.direction,
             notes=notes,
         )

@@ -16,9 +16,13 @@ at a time over all five maps at once, each pass a few matrix products
 with a banded matrix of the axis's taps; the variances and the covariance
 are then formed in place in that stack.  The SSIM family takes these
 moments slab by slab, in row slabs sized by ``_SLAB_BYTES``, never for a
-whole image at once.  Inputs are widened to float64 and scanned once,
-where they enter (``as_f64``, ``TensorND``); ``windowed_moments`` checks
-nothing and trusts its one caller.
+whole image at once.  Every map of a slab lives in a ``Workspace``, two
+buffers that one scoring call makes and reuses for all its slabs, scales
+and pairs; the only state kept between calls is the read-only band
+matrices, built once per (window size, block) by ``_band``.  Inputs are
+widened to float64 and scanned once, where they enter (``as_f64``,
+``TensorND``); ``windowed_moments`` checks nothing and trusts its one
+caller.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
@@ -31,6 +35,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -53,13 +58,14 @@ _BAND_BLOCK = 16
 #: Bytes of one slab's (5, rows, ...) moment stack in ``metrics._slab_means``.
 #: A slab holds S = max(_BAND_BLOCK, _SLAB_BYTES // (5 * 8 * voxels per row)
 #: - (k0 - 1)) valid output rows (the valid rows split into equal slabs) plus
-#: the window's k0 - 1 halo rows, so each slab's maps stay cache-sized: a
-#: 256x256 triple takes 837 minor page faults, against 4,181 with whole-image
-#: maps.  Median ``evaluate_triple`` time at 256x256 against one whole-image
-#: slab, one CPU, one BLAS thread, 120 interleaved ops: 0.66 at 512 KiB (41
-#: rows), 0.68 at 1 MiB, 0.71 at 2 MiB and 0.77 at 256 KiB; fixed slabs of
-#: 16, 32, 64 and 128 rows gave 0.79, 0.65, 0.64 and 0.69.  At 32x128x128 one
-#: row outweighs the budget, so S is ``_BAND_BLOCK``: 1.00 against one slab.
+#: the window's k0 - 1 halo rows, so each slab's maps stay cache-sized: with
+#: one ``Workspace`` per triple a 256x256 triple takes 710 minor page faults
+#: (837 with fresh maps per slab).  Median ``evaluate_triple`` time at 256x256
+#: against one whole-image slab, both through a workspace, one CPU, one BLAS
+#: thread, 120 interleaved ops: 0.88 at 512 KiB (41 rows), 0.86 at 1 MiB, 0.87
+#: at 2 MiB and 1.09 at 256 KiB.  At 32x128x128 one row outweighs the budget,
+#: so S is ``_BAND_BLOCK`` (1.00 against one slab, measured before the
+#: workspace).
 _SLAB_BYTES = 512 * 1024
 
 #: Bytes of ``conv``'s row-shift stack.  A batch goes through it in blocks
@@ -200,9 +206,11 @@ class VolumeSequence:
 
 
 def _gauss_1d(size: int) -> np.ndarray:
+    """The ``size`` Gaussian taps of one window axis, normalized to unit sum."""
     center = (size - 1) / 2.0
     offsets = np.arange(size, dtype=np.float64) - center
-    return np.exp(-(offsets**2) / (2.0 * WINDOW_SIGMA * WINDOW_SIGMA))
+    g = np.exp(-(offsets**2) / (2.0 * WINDOW_SIGMA * WINDOW_SIGMA))
+    return g / g.sum()
 
 
 @dataclass(frozen=True)
@@ -225,7 +233,7 @@ class GaussianWindow:
         for s in sizes:
             if s < 1 or s % 2 == 0:
                 raise ValueError(f"window sizes must be odd and positive, got {sizes}")
-        taps = tuple(g / g.sum() for g in (_gauss_1d(s) for s in sizes))
+        taps = tuple(_gauss_1d(s) for s in sizes)
         return cls(sizes, taps)
 
     @classmethod
@@ -345,66 +353,108 @@ def conv(x, kernel) -> np.ndarray:
     return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in spatial[1:])])
 
 
-def _band_correlate(s: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Valid-only correlation of ``s`` with ``taps`` along ``axis``.
+@functools.lru_cache(maxsize=(WINDOW_SIZE + 1) // 2 * _BAND_BLOCK)
+def _band(k: int, block: int) -> np.ndarray:
+    """Read-only (block, block + k - 1) band matrix of the k-tap window.
+
+    Row i holds the taps at columns i..i + k - 1, so it maps a block's
+    block + k - 1 input rows to its block outputs.  Built once per (window
+    size, block); the window's taps depend on its size alone.
+    """
+    rows = np.arange(block)[:, np.newaxis]
+    band = np.zeros((block, block + k - 1))
+    band[rows, rows + np.arange(k)] = _gauss_1d(k)
+    band.flags.writeable = False
+    return band
+
+
+class Workspace:
+    """Scratch memory for the moment maps of one scoring call.
+
+    Two flat float64 buffers, each grown to the largest request it gets:
+    buffer 0 holds the (5, ...) moment stack and every even pass's output,
+    buffer 1 the first pass's output and every later odd pass's, so one
+    slab's passes ping-pong between them.  ``take`` hands out a C-contiguous
+    view of a buffer's leading elements, so a map of a given shape has the
+    same layout, and its products the same bits, as in a fresh array.
+    Nothing survives the call that made the workspace.
+    """
+
+    def __init__(self):
+        self._buffers = [np.empty(0), np.empty(0)]
+
+    def take(self, i: int, shape) -> np.ndarray:
+        n = math.prod(shape)
+        if self._buffers[i].size < n:
+            self._buffers[i] = np.empty(n)
+        return self._buffers[i][:n].reshape(shape)
+
+
+def _band_correlate(s: np.ndarray, k: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """Valid-only correlation of ``s`` with the k-tap window along ``axis``, into ``out``.
 
     The n - k + 1 valid outputs are split into equal blocks of at most
-    ``_BAND_BLOCK``; one (B, B + k - 1) band matrix of the taps maps each
+    ``_BAND_BLOCK``; one (B, B + k - 1) band matrix (``_band``) maps each
     block's B + k - 1 input rows to its B outputs, the last block sliding
     back to end at the last output.  The axes before ``axis`` are merged
     into the products' batch axis (their rows, on the last axis) and the
-    axes after it into their columns, as views of a contiguous ``s``.
+    axes after it into their columns, as views of a contiguous ``s`` and of
+    the contiguous ``out``, which has ``s``'s shape with n - k + 1 on ``axis``.
     """
-    k = taps.size
     n = s.shape[axis]
     n_out = n - k + 1
     n_blocks = -(-n_out // _BAND_BLOCK)
     block = -(-n_out // n_blocks)
     width = block + k - 1
-    rows = np.arange(block)[:, np.newaxis]
-    band = np.zeros((block, width))
-    band[rows, rows + np.arange(k)] = taps
+    band = _band(k, block)
     starts = [min(lo, n_out - block) for lo in range(0, n_out, block)]
-    lead, rest = s.shape[:axis], s.shape[axis + 1 :]
+    rest = s.shape[axis + 1 :]
     if rest:  # band @ (axis rows, merged trailing axes), batched over the leading axes
-        flat = s.reshape(-1, n, int(np.prod(rest)))
-        out = np.empty((flat.shape[0], n_out, flat.shape[2]))
+        flat = s.reshape(-1, n, math.prod(rest))
+        flat_out = out.reshape(flat.shape[0], n_out, flat.shape[2])
         for lo in starts:
-            np.matmul(band, flat[:, lo : lo + width], out=out[:, lo : lo + block])
+            np.matmul(band, flat[:, lo : lo + width], out=flat_out[:, lo : lo + block])
     else:  # the last axis: (merged leading axes, axis) @ band.T
         flat = s.reshape(-1, n)
-        out = np.empty((flat.shape[0], n_out))
+        flat_out = out.reshape(flat.shape[0], n_out)
         for lo in starts:
-            np.matmul(flat[:, lo : lo + width], band.T, out=out[:, lo : lo + block])
-    return out.reshape(lead + (n_out,) + rest)
+            np.matmul(flat[:, lo : lo + width], band.T, out=flat_out[:, lo : lo + block])
+    return out
 
 
-def windowed_moments(x, y, window: GaussianWindow) -> Moments:
+def windowed_moments(x, y, window: GaussianWindow, ws: Workspace | None = None) -> Moments:
     """Weighted first and second moments of (x, y) at every window position.
 
     Only fully interior positions are kept.  The maps x, y, x^2, y^2 and xy
-    are written into one buffer and correlated with the window's taps one
-    axis at a time, each pass producing only valid positions through
-    blocked band-matrix products (``_band_correlate``).
+    are written into one (5, ...) stack and correlated with the window's
+    taps one axis at a time, each pass producing only valid positions
+    through blocked band-matrix products (``_band_correlate``).
     Variances use the weighted E[v^2] - E[v]^2 form and are clamped at zero
     to absorb catastrophic cancellation on near-constant regions; the
     covariance is left unclamped.  Both are computed in place over the
-    second moments, with one spare map for the products, so the five
-    returned maps are views of one fresh (5, ...) array that the caller
-    may overwrite.  Unchecked, the caller's to guarantee: ``x`` and ``y``
-    are finite float64 arrays of one shape, and ``window`` has one size
-    per axis, none longer than the axis.
+    second moments, with one spare map for the products.
+
+    Every map lives in ``ws`` (a fresh ``Workspace`` if None): the five
+    returned maps are views that the caller may overwrite, valid until
+    ``ws`` is next used.  ``x`` and ``y`` may be the stack's first two maps
+    for their shape, ``ws.take(0, (5,) + x.shape)[:2]``; copying them there
+    is then a no-op.  Unchecked, the caller's to guarantee: ``x`` and ``y``
+    are finite float64 arrays of one shape, and ``window`` has one size per
+    axis, none longer than the axis.
     """
-    sums = np.empty((5,) + x.shape)
+    if ws is None:
+        ws = Workspace()
+    sums = ws.take(0, (5,) + x.shape)
     sums[0] = x
     sums[1] = y
     np.multiply(x, x, out=sums[2])
     np.multiply(y, y, out=sums[3])
     np.multiply(x, y, out=sums[4])
-    for axis, taps in enumerate(window.taps, start=1):
-        sums = _band_correlate(sums, taps, axis)
+    for axis, k in enumerate(window.sizes, start=1):
+        shape = sums.shape[:axis] + (sums.shape[axis] - k + 1,) + sums.shape[axis + 1 :]
+        sums = _band_correlate(sums, k, axis, ws.take(axis % 2, shape))
     mu_x, mu_y, var_x, var_y, cov_xy = sums  # second moments until overwritten
-    prod = np.empty_like(mu_x)
+    prod = ws.take((len(window.sizes) + 1) % 2, mu_x.shape)  # the buffer the last pass read
     var_x -= np.multiply(mu_x, mu_x, out=prod)
     var_y -= np.multiply(mu_y, mu_y, out=prod)
     cov_xy -= np.multiply(mu_x, mu_y, out=prod)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import dcemetrics.metrics as metrics
+import dcemetrics.tensor as tensor
 from dcemetrics.metrics import (
     METRIC_FIELDS,
     MS_SSIM_EXPONENTS,
@@ -412,6 +413,57 @@ class TestEvaluateTriple:
             c, g, MSSSIMParams(data_range=L, per_slice=per_slice)
         )
 
+    @pytest.mark.parametrize("shape, slice_mode, spacing", [
+        ((24, 24), "3d", None),
+        ((12, 24, 24), "3d", None),
+        ((12, 24, 24), "2d", None),
+        ((176, 176), "3d", None),  # three slabs at full resolution, five scales
+        ((24, 24), "3d", (1.0, 2.5)),
+    ], ids=["image", "volume", "volume-by-slice", "multi-slab", "physical"])
+    def test_scores_equal_public_functions(self, shape, slice_mode, spacing):
+        # evaluate_triple scores through private stages and one shared
+        # workspace; the public functions, each with its own, must agree
+        seq, g, c, s = self._sequence_and_triple(78, shape)
+        mode = "voxel" if spacing is None else "physical"
+        seq = VolumeSequence(seq.frames, spacing_mm=spacing)
+        report = evaluate_triple(g, c, s, seq,
+                                 EvalParams(slice_mode=slice_mode, spacing_mode=mode))
+        dm = distance_map(detect_ce(seq), spacing, mode)
+        sp = SSIMParams(data_range=float(c.max() - c.min()), per_slice=slice_mode == "2d")
+        assert report.psnr_style_vs_gen == psnr(s, g)
+        assert report.ssim_content_vs_gen == ssim(c, g, sp)
+        assert report.ms_ssim_content_vs_gen == ms_ssim(
+            c, g, MSSSIMParams(data_range=sp.data_range, per_slice=sp.per_slice))
+        assert report.cw_ssim_content == cw_ssim(g, c, dm, sp, mode="content")
+        assert report.cw_ssim_style == cw_ssim(g, s, invert_map(dm), sp, mode="style")
+
+    @pytest.mark.parametrize("floor", [False, True], ids=["default-slabs", "floor-slabs"])
+    def test_reused_buffers_hold_no_stale_values(self, floor, monkeypatch):
+        # one workspace serves every slab, scale and pair of a triple; a map
+        # that misses a row would read what an earlier slab left there.  The
+        # first scores give each moment call its own workspace, both buffers
+        # NaN to the stack's size, so a missed row shows; then triples of
+        # other shapes are scored in turn, reusing the buffers.  At the floor
+        # budget 176x176 takes eleven slabs, the last shorter
+        if floor:
+            monkeypatch.setattr(tensor, "_SLAB_BYTES", 0)
+        shapes = [(176, 176), (24, 24), (12, 24, 24)]
+        cases = [self._sequence_and_triple(79 + i, shape) for i, shape in enumerate(shapes)]
+        moments = metrics.windowed_moments
+
+        def isolated(x, y, window, ws):
+            own = tensor.Workspace()
+            for i in (0, 1):
+                own.take(i, (5,) + x.shape).fill(np.nan)
+            return moments(x, y, window, own)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(metrics, "windowed_moments", isolated)
+            first = [evaluate_triple(g, c, s, seq) for seq, g, c, s in cases]
+        for i in [0, 1, 2, 2, 0, 1]:
+            seq, g, c, s = cases[i]
+            assert evaluate_triple(g, c, s, seq) == first[i], shapes[i]
+
     def test_peak_memory_below_whole_image_moments(self):
         # whole-image moments hold the volume's (5, ...) stack and the output of
         # its first pass at once; streamed in slabs, a whole 3D triple, EDT and
@@ -504,15 +556,15 @@ class TestEvaluateTriple:
         ((176, 176), "3d"), ((12, 24, 24), "3d"), ((12, 24, 24), "2d"),
     ])
     def test_finiteness_scans_per_triple(self, shape, slice_mode, monkeypatch):
-        # the three inputs once on entry, plus the public psnr's two and each
-        # public cw_ssim's three (pair and weights); the moments scan nothing
+        # the three inputs once on entry; the scores run on private stages and
+        # the moments scan nothing
         seq, g, c, s = self._sequence_and_triple(75, shape)
         sizes = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a))
                             or isfinite(a, *args, **kw))
         evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode))
-        assert sum(n > 1 for n in sizes) <= 3 + 2 + 2 * 3
+        assert sum(n > 1 for n in sizes) <= 3
 
     @pytest.mark.parametrize("name", ["data_range", "peak"])
     def test_overflowing_range_or_peak_rejected(self, name):
@@ -656,8 +708,11 @@ class TestMomentsContract:
         dm = distance_map(detect_ce(seq))
         calls = []
         moments = metrics.windowed_moments
+        # the inputs may live in a workspace that later calls overwrite, so
+        # each call's pair is copied as it arrives
         monkeypatch.setattr(
-            metrics, "windowed_moments", lambda *a: calls.append(a) or moments(*a)
+            metrics, "windowed_moments",
+            lambda *a: calls.append((a[0].copy(), a[1].copy(), a[2])) or moments(*a)
         )
         per_slice = slice_mode == "2d"
         ssim(c, g, SSIMParams(per_slice=per_slice))
