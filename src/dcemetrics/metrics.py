@@ -22,13 +22,16 @@ one ``tensor.Workspace`` for those maps: a public ``ssim``, ``ms_ssim`` or
 ``cw_ssim`` call one of its own, ``evaluate_triple`` one for all three
 SSIM-family pairs of a triple, which it scores, and its PSNR, through the
 same private stages as the public functions, so its inputs are checked
-once.
+once.  It holds one weight map per triple: the distances turn into the
+weights in place, and the style pair's inverted weights are formed slab by
+slab in the moment workspace.
 
-Distances come from scipy's exact Euclidean distance transform, so
-weightings are reproducible down to the last bit across runs.
-``scipy.ndimage`` is loaded by the first ``distance_transform`` call, not
-by importing this module; the SSIM family (``windowed_moments``) never
-loads it.
+Distances come from scipy's exact Euclidean feature transform, turned into
+distances in row slabs with scipy's own arithmetic, so weightings match
+``scipy.ndimage.distance_transform_edt`` and are reproducible down to the
+last bit across runs.  ``scipy.ndimage`` is loaded by the first
+``distance_transform`` call, not by importing this module; the SSIM family
+(``windowed_moments``) never loads it.
 """
 
 from __future__ import annotations
@@ -213,13 +216,13 @@ def detect_ce(
             f"baseline_index {baseline_index} out of range for {frames.shape[0]} frames"
         )
     baseline = frames[baseline_index]
-    mean_rise = np.zeros_like(baseline)  # a running sum over frames in time order
+    later = [frame for t, frame in enumerate(frames) if t != baseline_index]
     rise = np.empty_like(baseline)
     with _named_overflow(sequence=frames):
-        for t, frame in enumerate(frames):
-            if t != baseline_index:
-                mean_rise += np.subtract(frame, baseline, out=rise)
-        mean_rise /= frames.shape[0] - 1
+        mean_rise = np.subtract(later[0], baseline)  # a running sum over frames in time order
+        for frame in later[1:]:
+            mean_rise += np.subtract(frame, baseline, out=rise)
+        mean_rise /= len(later)
     if signed_reverse:  # exact: rounding is symmetric under negation
         np.negative(mean_rise, out=mean_rise)
     return CEMask(mean_rise > threshold, float(threshold), int(baseline_index))
@@ -233,6 +236,14 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     finite and large enough that each square is a normal float64.  On
     integer (voxel) grids the result matches an all-pairs scan bit for bit.
     All-False masks yield +inf everywhere.
+
+    The nearest True voxel of each voxel comes from scipy's feature
+    transform (int32, one map per axis).  The distances are then formed as
+    ``scipy.ndimage.distance_transform_edt`` forms them, bit for bit, but in
+    slabs of rows along the leading axis sized by ``tensor._SLAB_BYTES``:
+    per axis (feature - index) as float64, times the spacing, squared and
+    summed in axis order, then the square root.  So no index map and no
+    per-axis difference or distance stack is ever volume-sized.
     """
     m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
     if m.ndim == 0:
@@ -252,7 +263,28 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
         return np.full(m.shape, np.inf)
     from scipy import ndimage  # on first use, so importing the package skips it
 
-    return ndimage.distance_transform_edt(~m, sampling=spacing)
+    feature = ndimage.distance_transform_edt(~m, sampling=spacing, return_distances=False,
+                                             return_indices=True)
+    n0 = m.shape[0]
+    rows = max(1, tensor._SLAB_BYTES // (8 * math.prod(m.shape[1:])))
+    # each axis's voxel indices, shaped to broadcast along that axis of a slab
+    index = [np.arange(n, dtype=np.int32).reshape((-1,) + (1,) * (m.ndim - 1 - ax))
+             for ax, n in enumerate(m.shape)]
+    dist = np.empty(m.shape)
+    term = np.empty((min(rows, n0),) + m.shape[1:])
+    for lo in range(0, n0, rows):
+        hi = min(lo + rows, n0)
+        acc = dist[lo:hi]
+        for ax, s in enumerate(spacing):
+            d = acc if ax == 0 else term[: hi - lo]
+            # int32 differences, exact as float64
+            np.subtract(feature[ax, lo:hi], index[0][lo:hi] if ax == 0 else index[ax], out=d)
+            d *= s
+            np.multiply(d, d, out=d)
+            if ax:
+                acc += d
+        np.sqrt(acc, out=acc)
+    return dist
 
 
 def distance_map(mask, spacing=None, mode: str = "voxel") -> DistanceMap:
@@ -267,23 +299,37 @@ def distance_map(mask, spacing=None, mode: str = "voxel") -> DistanceMap:
     ``spacing``; the default voxel mode ignores spacing.  The mask and
     spacing are ``distance_transform``'s to check.
     """
+    dist = distance_transform(mask, _mode_spacing(spacing, mode))
+    return DistanceMap(_weigh(dist, np.empty_like(dist)), False, mode, dist)
+
+
+def _mode_spacing(spacing, mode: str):
+    """The spacing ``distance_transform`` gets in spacing ``mode``: None in voxel mode."""
     if mode not in ("voxel", "physical"):
         raise ValueError(f"unknown spacing mode {mode!r}")
     if mode == "physical" and spacing is None:
         raise ValueError("physical mode needs per-axis spacing")
-    dist = distance_transform(mask, spacing if mode == "physical" else None)
+    return spacing if mode == "physical" else None
+
+
+def _weigh(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``distance_map``'s weights of the distances ``dist``, written into ``out``.
+
+    ``out`` may be ``dist`` itself, which then turns into its weights.
+    """
     if dist.min() == np.inf:  # all +inf: the mask has no CE voxel
         logger.info("distance_map: mask has no CE voxel, weighting is uniform 1.0")
-        return DistanceMap(np.ones(dist.shape), False, mode, dist)
+        out.fill(1.0)
+        return out
     d_max = dist.max()
     if d_max == 0.0:
         logger.info("distance_map: mask is all CE, weighting is uniform 0.1")
-        weights = np.full(dist.shape, 0.1)
+        out.fill(0.1)
     else:
-        weights = dist / d_max  # then 0.1 + 0.9 * w in place; dist stays intact
-        weights *= 0.9
-        weights += 0.1
-    return DistanceMap(weights, False, mode, dist)
+        np.divide(dist, d_max, out=out)  # then 0.1 + 0.9 * w in place
+        out *= 0.9
+        out += 0.1
+    return out
 
 
 def invert_map(dm: DistanceMap) -> DistanceMap:
@@ -337,14 +383,15 @@ def _downsample2(a: np.ndarray) -> np.ndarray:
     """Non-overlapping 2x mean pooling; odd tails are dropped."""
     for ax in range(a.ndim):
         n = a.shape[ax] - (a.shape[ax] % 2)
-        a = a[(slice(None),) * ax + (slice(0, n),)]
-        shp = a.shape[:ax] + (n // 2, 2) + a.shape[ax + 1 :]
-        a = a.reshape(shp).mean(axis=ax + 1)
+        lead = (slice(None),) * ax
+        a = np.add(a[lead + (slice(0, n, 2),)], a[lead + (slice(1, n, 2),)])
+        a /= 2  # the pair's mean, as reshape(..., 2, ...).mean(axis) forms it
     return a
 
 
 def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
-                 w=None, ws: Workspace | None = None) -> tuple[float, float]:
+                 w=None, ws: Workspace | None = None,
+                 invert: bool = False) -> tuple[float, float]:
     """(SSIM, MS-SSIM) of a checked pair over ``n_scales`` dyadic scales.
 
     SSIM is MS-SSIM's first-scale term.  With ``per_slice`` a volume is
@@ -352,7 +399,8 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
     One window serves every scale: each scale ``ms_ssim_scale_count``
     admits still holds the full-resolution window on every axis.  ``w``,
     checked weights of the pair's shape, multiplies both images voxelwise
-    before scoring; only single-scale calls pass it.  Every slab of every
+    before scoring, or their inversion 1.1 - w with ``invert`` set; only
+    single-scale calls pass it.  Every slab of every
     scale and slice takes its maps from ``ws`` (a fresh ``Workspace`` if
     None), which a caller scoring several pairs passes to each.
     """
@@ -372,7 +420,7 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
             if scale:
                 x, y = _downsample2(x), _downsample2(y)
             per_scale.append(_slab_means(x, y, None if w is None else w[i], window, c1, c2,
-                                         ws))
+                                         ws, invert))
         terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
         ssims.append(per_scale[0][0])
         ms_ssims.append(math.prod(max(t, 0.0) ** e for t, e in zip(terms, exponents)))
@@ -380,7 +428,7 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
 
 
 def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
-                ws: Workspace) -> tuple[float, float]:
+                ws: Workspace, invert: bool = False) -> tuple[float, float]:
     """Means of lum * cs and of cs over every valid window position of (x, y).
 
     The valid output rows along the leading axis are split into equal slabs
@@ -388,7 +436,10 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
     views of its S rows plus the window's k0 - 1 halo rows, and its
     ``windowed_moments`` maps are summed into running totals, so no map is
     ever image-sized.  With ``w`` the weighted inputs are written straight
-    into the first two maps of the slab's moment stack in ``ws``.  The
+    into the first two maps of the slab's moment stack in ``ws``; with
+    ``invert`` as well, the slab's rows of ``invert_map``'s 1.1 - w go
+    first into the stack's third map, which ``windowed_moments`` then
+    overwrites, so no inverted map is image-sized either.  The
     luminance and contrast-structure maps are formed in place in each
     slab's maps, each formula evaluated left to right as written.
     """
@@ -405,8 +456,9 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
         xs, ys = x[rows_in], y[rows_in]
         if w is not None:
             stack = ws.take(0, (5,) + xs.shape)
-            xs = np.multiply(xs, w[rows_in], out=stack[0])
-            ys = np.multiply(ys, w[rows_in], out=stack[1])
+            ws_rows = np.subtract(1.1, w[rows_in], out=stack[2]) if invert else w[rows_in]
+            xs = np.multiply(xs, ws_rows, out=stack[0])
+            ys = np.multiply(ys, ws_rows, out=stack[1])
         # positional: the benchmark's tracer and the tests wrap this global as *args
         mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, window, ws)
         # cs = (2 cov + c2) / (var_x + var_y + c2)
@@ -545,7 +597,8 @@ def psnr(reference, test, peak: float | None = None) -> float:
 
 def _psnr(ref: np.ndarray, tst: np.ndarray, peak: float) -> float:
     """PSNR of a checked pair at a checked peak."""
-    mse = float(np.mean((ref - tst) ** 2))
+    diff = ref - tst
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -576,7 +629,10 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     PSNR's peak are checked, like the inputs, before any stage runs.  The
     scores come from the private stages behind ``psnr``, ``ssim``,
     ``ms_ssim`` and ``cw_ssim``, so nothing is checked twice, and the
-    three SSIM-family pairs share one moment ``Workspace``.
+    three SSIM-family pairs share one moment ``Workspace``.  The weights
+    are ``distance_map``'s, formed in place of the fresh distances, and
+    the style pair inverts them slab by slab as ``invert_map`` would, so
+    neither a distance map nor an inverted map is held beside them.
     """
     params = params or EvalParams()
     if params.direction not in DIRECTIONS:
@@ -608,13 +664,13 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     notes: list[str] = []
     ce = detect_ce(seq_for_mask, params.baseline_index, params.threshold,
                    params.signed_reverse)
-    spacing = seq_for_mask.spacing_mm if params.spacing_mode == "physical" else None
-    dm = distance_map(ce, spacing, params.spacing_mode)
+    spacing = _mode_spacing(seq_for_mask.spacing_mm, params.spacing_mode)
+    dist = distance_transform(ce, spacing)
+    weights = _weigh(dist, out=dist)  # distance_map's weights, in place of the distances
     if not ce.mask.any():
         notes.append("no CE voxels detected; content weighting is uniform 1.0")
     elif ce.mask.all():
         notes.append("every voxel detected as CE; content weighting is uniform 0.1")
-    dm_inv = invert_map(dm)
 
     if used < params.ms_ssim.scales:
         notes.append(f"ms_ssim used {used} of {params.ms_ssim.scales} scales")
@@ -626,9 +682,9 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
             psnr_style_vs_gen=psnr_sg,
             ssim_content_vs_gen=ssim_cg,
             ms_ssim_content_vs_gen=ms_ssim_cg,
-            cw_ssim_content=_ssim_family(gen, con, data_range, per_slice, 1, dm.weights, ws)[0],
-            cw_ssim_style=_ssim_family(gen, sty, data_range, per_slice, 1, dm_inv.weights,
-                                       ws)[0],
+            cw_ssim_content=_ssim_family(gen, con, data_range, per_slice, 1, weights, ws)[0],
+            cw_ssim_style=_ssim_family(gen, sty, data_range, per_slice, 1, weights, ws,
+                                       invert=True)[0],
             direction=params.direction,
             notes=notes,
         )

@@ -1,4 +1,6 @@
 import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import dcemetrics.tensor as tensor
 from dcemetrics.metrics import (
     CEMask,
     detect_ce,
@@ -216,6 +219,44 @@ class TestDistanceTransform:
             brute_force_edt(mask, spacing=spacing),
             rtol=1e-12,
         )
+
+    # the default budget takes each drawn mask in one slab; 0 takes one row per slab
+    @pytest.mark.parametrize("budget", [tensor._SLAB_BYTES, 0], ids=["default-slabs", "row-slabs"])
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_scipy_bit_for_bit(self, budget, data):
+        from scipy import ndimage
+
+        mask = data.draw(_masks).copy()
+        mask.flat[data.draw(st.integers(0, mask.size - 1))] = True  # scipy needs a site
+        spacing = data.draw(st.none() | st.tuples(*[st.floats(0.25, 4.0)] * mask.ndim))
+        with mock.patch.object(tensor, "_SLAB_BYTES", budget):
+            got = distance_transform(mask, spacing)
+        npt.assert_array_equal(got, ndimage.distance_transform_edt(~mask, sampling=spacing))
+
+    @pytest.mark.parametrize("spacing", [None, (1.12, 0.7, 2.5)])
+    def test_uneven_slabs_match_scipy_bit_for_bit(self, spacing):
+        # 64x64 rows of 32 KiB: the default budget takes 16 rows a slab, the
+        # last of three slabs 8 rows
+        from scipy import ndimage
+
+        mask = np.random.default_rng(7).random((40, 64, 64)) < 0.002
+        npt.assert_array_equal(distance_transform(mask, spacing),
+                               ndimage.distance_transform_edt(~mask, sampling=spacing))
+
+    def test_peak_memory_per_voxel(self):
+        # the int32 feature transform (1.5 maps per voxel in 3D) and the
+        # output; scipy's own distance pass peaks at 6.1
+        mask = np.random.default_rng(8).random((32, 128, 128)) < 0.002
+        distance_transform(mask)  # loads scipy.ndimage outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            distance_transform(mask)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * mask.size) < 3.0
 
     @settings(derandomize=True, deadline=None)
     @given(shape=array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7))

@@ -231,6 +231,16 @@ class TestMSSSIM:
         expected = naive_ms_ssim(x, y, w / w.sum(), _gauss_window((11, 11)), 255.0)
         npt.assert_allclose(ms_ssim(x, y, p), expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(256, 256), (255, 129), (16, 48, 48), (7, 33, 20)])
+    def test_pooling_matches_reshape_mean_bit_for_bit(self, shape):
+        a = _image(45, shape)
+        want = a
+        for ax in range(a.ndim):  # the pooling as per-axis means of reshaped pairs
+            n = want.shape[ax] - want.shape[ax] % 2
+            want = want[(slice(None),) * ax + (slice(0, n),)]
+            want = want.reshape(want.shape[:ax] + (n // 2, 2) + want.shape[ax + 1 :]).mean(ax + 1)
+        npt.assert_array_equal(metrics._downsample2(a), want)
+
     @pytest.mark.parametrize("scales", [0, 6])
     def test_scale_count_outside_exponents_rejected(self, scales):
         x = _image(44, (64, 64))
@@ -480,6 +490,24 @@ class TestEvaluateTriple:
             tracemalloc.stop()
         whole = 5 * 8 * (c.size + (shape[0] - 10) * shape[1] * shape[2])
         assert peak < whole, f"peak {peak / (8 * c.size):.1f} x 8 B per voxel"
+
+    def test_peak_memory_per_voxel_of_a_3d_triple(self):
+        # at 32x128x128 the first SSIM-family pair sets the peak: one slab's
+        # maps (26 of the 32 rows with the halo) and the pooled MS-SSIM
+        # images, on top of the weights, 7.0 maps per voxel.  A distance map
+        # or a whole inverted map held beside the weights adds one map each
+        # (9.0 with both)
+        shape = (32, 128, 128)
+        seq, g, c, s = self._sequence_and_triple(78, shape)
+        evaluate_triple(g, c, s, seq)  # loads scipy.ndimage outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_triple(g, c, s, seq)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * c.size) < 7.5
 
     @pytest.mark.parametrize(
         "setting, owner",
