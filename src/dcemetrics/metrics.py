@@ -456,9 +456,9 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
         xs, ys = x[rows_in], y[rows_in]
         if w is not None:
             stack = ws.take(0, (5,) + xs.shape)
-            ws_rows = np.subtract(1.1, w[rows_in], out=stack[2]) if invert else w[rows_in]
-            xs = np.multiply(xs, ws_rows, out=stack[0])
-            ys = np.multiply(ys, ws_rows, out=stack[1])
+            w_rows = np.subtract(1.1, w[rows_in], out=stack[2]) if invert else w[rows_in]
+            xs = np.multiply(xs, w_rows, out=stack[0])
+            ys = np.multiply(ys, w_rows, out=stack[1])
         # positional: the benchmark's tracer and the tests wrap this global as *args
         mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, window, ws)
         # cs = (2 cov + c2) / (var_x + var_y + c2)
