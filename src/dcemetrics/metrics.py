@@ -243,21 +243,23 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     slabs of rows along the leading axis sized by ``tensor._SLAB_BYTES``:
     per axis (feature - index) as float64, times the spacing, squared and
     summed in axis order, then the square root.  So no index map and no
-    per-axis difference or distance stack is ever volume-sized.
+    per-axis difference or distance stack is ever volume-sized.  Without a
+    spacing, scipy gets no sampling and the product by 1, exact, is skipped.
     """
     m = np.asarray(mask.mask if isinstance(mask, CEMask) else mask, dtype=bool)
     if m.ndim == 0:
         raise ValueError("mask must have at least one axis")
     if m.size == 0:
         raise ValueError("mask must be non-empty")
-    spacing = (1.0,) * m.ndim if spacing is None else check_spacing(spacing, m.ndim)
-    # the EDT squares distances up to the grid's diagonal; half the bound
-    # leaves room for the rounding of their sums
-    if not math.hypot(*(s * (n - 1) for s, n in zip(spacing, m.shape))) < _SQRT_FLOAT_MAX / 2:
-        raise ValueError(f"spacing {spacing} is too large for a {m.shape} grid: squared "
-                         f"distances across it overflow float64")
-    if min(spacing) ** 2 < np.finfo(np.float64).tiny:  # subnormal squares lose digits or vanish
-        raise ValueError(f"spacing {spacing} is too small: its squares underflow float64")
+    if spacing is not None:
+        spacing = check_spacing(spacing, m.ndim)
+        # the EDT squares distances up to the grid's diagonal; half the bound
+        # leaves room for the rounding of their sums
+        if not math.hypot(*(s * (n - 1) for s, n in zip(spacing, m.shape))) < _SQRT_FLOAT_MAX / 2:
+            raise ValueError(f"spacing {spacing} is too large for a {m.shape} grid: squared "
+                             f"distances across it overflow float64")
+        if min(spacing) ** 2 < np.finfo(np.float64).tiny:  # subnormal squares lose digits or vanish
+            raise ValueError(f"spacing {spacing} is too small: its squares underflow float64")
     if not m.any():
         # scipy measures to a point outside the array here; there is no site
         return np.full(m.shape, np.inf)
@@ -275,11 +277,12 @@ def distance_transform(mask, spacing=None) -> np.ndarray:
     for lo in range(0, n0, rows):
         hi = min(lo + rows, n0)
         acc = dist[lo:hi]
-        for ax, s in enumerate(spacing):
+        for ax in range(m.ndim):
             d = acc if ax == 0 else term[: hi - lo]
             # int32 differences, exact as float64
             np.subtract(feature[ax, lo:hi], index[0][lo:hi] if ax == 0 else index[ax], out=d)
-            d *= s
+            if spacing is not None:  # voxel distances skip the exact product by 1.0
+                d *= spacing[ax]
             np.multiply(d, d, out=d)
             if ax:
                 acc += d

@@ -13,16 +13,17 @@ stack in blocks of as many items as fit ``_CONV_STACK_BYTES``, each
 block's items a broadcast axis of its products.
 The Gaussian window is separable, so the moment maps are taken one axis
 at a time over all five maps at once, each pass a few matrix products
-with a banded matrix of the axis's taps; the variances and the covariance
-are then formed in place in that stack.  The SSIM family takes these
-moments slab by slab, in row slabs sized by ``_SLAB_BYTES``, never for a
-whole image at once.  Every map of a slab lives in a ``Workspace``, two
-buffers that one scoring call makes and reuses for all its slabs, scales
-and pairs; the only state kept between calls is the read-only band
-matrices, built once per (window size, block) by ``_band``.  Inputs are
-widened to float64 and scanned once, where they enter (``as_f64``,
-``TensorND``); ``windowed_moments`` checks nothing and trusts its one
-caller.
+with a banded matrix of the axis's taps (on the last axis, cache-sized
+chunks of rows times a C-contiguous copy of the band's transpose); the
+variances and the covariance are then formed in place in that stack.  The
+SSIM family takes these moments slab by slab, in row slabs sized by
+``_SLAB_BYTES``, never for a whole image at once.  Every map of a slab
+lives in a ``Workspace``, two buffers that one scoring call makes and
+reuses for all its slabs, scales and pairs; the only state kept between
+calls is the read-only band matrices and their transposes, built once per
+(window size, block) by ``_band`` and ``_band_t``.  Inputs are widened to
+float64 and scanned once, where they enter (``as_f64``, ``TensorND``);
+``windowed_moments`` checks nothing and trusts its one caller.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
@@ -65,7 +66,12 @@ _BAND_BLOCK = 16
 #: thread, 120 interleaved ops: 0.88 at 512 KiB (41 rows), 0.86 at 1 MiB, 0.87
 #: at 2 MiB and 1.09 at 256 KiB.  At 32x128x128 one row outweighs the budget,
 #: so S is ``_BAND_BLOCK`` (1.00 against one slab, measured before the
-#: workspace).
+#: workspace).  The same budget sizes the row chunks of ``_band_correlate``'s
+#: last-axis pass, at most max(1, _SLAB_BYTES // (8 * axis length)) rows, so
+#: a chunk stays cache-resident across its blocks' products: at (5, 26, 128,
+#: 128) the pass took 6.2-7.8 ms in chunks against 16.8-16.9 ms in one, at
+#: (5, 14, 246, 256) 23-26 ms against 53-61 ms (one CPU, one BLAS thread).
+#: The benchmark's slabs are one chunk each.
 _SLAB_BYTES = 512 * 1024
 
 #: Bytes of ``conv``'s row-shift stack.  A batch goes through it in blocks
@@ -368,6 +374,14 @@ def _band(k: int, block: int) -> np.ndarray:
     return band
 
 
+@functools.lru_cache(maxsize=(WINDOW_SIZE + 1) // 2 * _BAND_BLOCK)
+def _band_t(k: int, block: int) -> np.ndarray:
+    """Read-only, C-contiguous ``_band(k, block).T``: the last-axis pass's right operand."""
+    band_t = np.ascontiguousarray(_band(k, block).T)
+    band_t.flags.writeable = False
+    return band_t
+
+
 class Workspace:
     """Scratch memory for the moment maps of one scoring call.
 
@@ -397,28 +411,42 @@ def _band_correlate(s: np.ndarray, k: int, axis: int, out: np.ndarray) -> np.nda
     ``_BAND_BLOCK``; one (B, B + k - 1) band matrix (``_band``) maps each
     block's B + k - 1 input rows to its B outputs, the last block sliding
     back to end at the last output.  The axes before ``axis`` are merged
-    into the products' batch axis (their rows, on the last axis) and the
-    axes after it into their columns, as views of a contiguous ``s`` and of
-    the contiguous ``out``, which has ``s``'s shape with n - k + 1 on ``axis``.
+    into the products' batch axis and the axes after it into their columns,
+    as views of a contiguous ``s`` and of the contiguous ``out``, which has
+    ``s``'s shape with n - k + 1 on ``axis``.  On the last axis the merged
+    leading axes are the rows of (rows, block + k - 1) @ ``_band_t``
+    products, taken in equal chunks of at most max(1, ``_SLAB_BYTES`` //
+    (8 * n)) rows with every block inside a chunk, so the chunk stays in
+    cache across its blocks; chunks and outputs are views, nothing is
+    copied.  A C-contiguous band transpose keeps OpenBLAS on its small
+    matrix path: a score-2d slab's last-axis pass, (5, 41, 256), took
+    0.59-0.69 of its time with the transposed view ``band.T`` (one CPU, one
+    BLAS thread).
     """
     n = s.shape[axis]
     n_out = n - k + 1
     n_blocks = -(-n_out // _BAND_BLOCK)
     block = -(-n_out // n_blocks)
     width = block + k - 1
-    band = _band(k, block)
     starts = [min(lo, n_out - block) for lo in range(0, n_out, block)]
     rest = s.shape[axis + 1 :]
     if rest:  # band @ (axis rows, merged trailing axes), batched over the leading axes
+        band = _band(k, block)
         flat = s.reshape(-1, n, math.prod(rest))
         flat_out = out.reshape(flat.shape[0], n_out, flat.shape[2])
         for lo in starts:
             np.matmul(band, flat[:, lo : lo + width], out=flat_out[:, lo : lo + block])
-    else:  # the last axis: (merged leading axes, axis) @ band.T
+    else:  # the last axis: (merged leading axes, axis) @ band.T, in row chunks
+        band_t = _band_t(k, block)
         flat = s.reshape(-1, n)
         flat_out = out.reshape(flat.shape[0], n_out)
-        for lo in starts:
-            np.matmul(flat[:, lo : lo + width], band.T, out=flat_out[:, lo : lo + block])
+        n_rows = flat.shape[0]
+        n_chunks = -(-n_rows // max(1, _SLAB_BYTES // (8 * n)))
+        chunk = -(-n_rows // n_chunks)
+        for r0 in range(0, n_rows, chunk):
+            rows, rows_out = flat[r0 : r0 + chunk], flat_out[r0 : r0 + chunk]
+            for lo in starts:
+                np.matmul(rows[:, lo : lo + width], band_t, out=rows_out[:, lo : lo + block])
     return out
 
 

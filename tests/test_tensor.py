@@ -255,6 +255,27 @@ class TestGaussianWindow:
         assert w != GaussianWindow.create((11, 7, 3))
 
 
+class TestBandCorrelate:
+    # 37 and 23 valid outputs split into blocks of 13 and 12, so the last
+    # block slides back; 65 and 60 merged rows in chunks of at most 7 leave
+    # an uneven last chunk of 2 and 4 rows
+    @pytest.mark.parametrize("k", [11, 7, 3, 1])
+    @pytest.mark.parametrize("lead, n_out", [((5, 13), 37), ((5, 3, 4), 23)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-budget", "row-chunks"])
+    def test_last_axis_matches_naive_correlation(self, monkeypatch, k, lead, n_out, chunk_rows):
+        n = n_out + k - 1
+        if chunk_rows is not None:
+            monkeypatch.setattr(tensor, "_SLAB_BYTES", 8 * n * chunk_rows)
+        rng = np.random.default_rng(k)
+        s = rng.uniform(0, 10, size=lead + (n,))
+        out = np.full(lead + (n_out,), np.nan)  # rows a pass skips stay NaN
+        taps = GaussianWindow.create((k,)).taps[0]
+        want = sum(t * s[..., j : j + n_out] for j, t in enumerate(taps))
+        got = tensor._band_correlate(s, k, len(lead), out)
+        assert got is out
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestWindowedMoments:
     def test_constant_image(self):
         w = GaussianWindow.create((5, 5))
