@@ -56,7 +56,7 @@ from .metrics import (
     ssim,
 )
 from .phantom import PhantomOutput, PhantomSpec, Region, generate, make_triple
-from .tensor import GaussianWindow, TensorND, VolumeSequence, conv
+from .tensor import TensorND, VolumeSequence, conv
 
 __all__ = [
     "__version__",
@@ -66,7 +66,6 @@ __all__ = [
     "DistanceMap",
     "EvalParams",
     "FixedFeatureExtractor",
-    "GaussianWindow",
     "MetricReport",
     "MSSSIMParams",
     "PhantomOutput",

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .tensor import (WINDOW_SIZE, GaussianWindow, VolumeSequence, Workspace, as_f64,
-                     as_f64_pair, check_spacing, windowed_moments)
+from .tensor import (WINDOW_SIZE, VolumeSequence, Workspace, as_f64, as_f64_pair,
+                     check_spacing, window_sizes, windowed_moments)
 
 logger = logging.getLogger(__name__)
 
@@ -412,7 +412,7 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
     c1 = (_K1 * data_range) ** 2
     c2 = (_K2 * data_range) ** 2
     slices = range(xa.shape[0]) if per_slice and xa.ndim == 3 else [Ellipsis]
-    window = GaussianWindow.for_shape(xa[slices[0]].shape)
+    sizes = window_sizes(xa[slices[0]].shape)
     trimmed = MS_SSIM_EXPONENTS[:n_scales]
     exponents = [e / sum(trimmed) for e in trimmed]
     ssims, ms_ssims = [], []
@@ -422,7 +422,7 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
         for scale in range(n_scales):
             if scale:
                 x, y = _downsample2(x), _downsample2(y)
-            per_scale.append(_slab_means(x, y, None if w is None else w[i], window, c1, c2,
+            per_scale.append(_slab_means(x, y, None if w is None else w[i], sizes, c1, c2,
                                          ws, invert))
         terms = [cs for _, cs in per_scale[:-1]] + [per_scale[-1][0]]
         ssims.append(per_scale[0][0])
@@ -430,7 +430,7 @@ def _ssim_family(xa, ya, data_range: float, per_slice: bool, n_scales: int,
     return float(np.mean(ssims)), float(np.mean(ms_ssims))
 
 
-def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
+def _slab_means(x, y, w, sizes: tuple[int, ...], c1: float, c2: float,
                 ws: Workspace, invert: bool = False) -> tuple[float, float]:
     """Means of lum * cs and of cs over every valid window position of (x, y).
 
@@ -446,7 +446,7 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
     luminance and contrast-structure maps are formed in place in each
     slab's maps, each formula evaluated left to right as written.
     """
-    k0 = window.sizes[0]
+    k0 = sizes[0]
     n_out = x.shape[0] - k0 + 1
     row_bytes = 5 * 8 * math.prod(x.shape[1:])  # one float64 row of the (5, ...) stack
     rows = max(tensor._BAND_BLOCK, tensor._SLAB_BYTES // row_bytes - (k0 - 1))
@@ -463,7 +463,7 @@ def _slab_means(x, y, w, window: GaussianWindow, c1: float, c2: float,
             xs = np.multiply(xs, w_rows, out=stack[0])
             ys = np.multiply(ys, w_rows, out=stack[1])
         # positional: the benchmark's tracer and the tests wrap this global as *args
-        mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, window, ws)
+        mu_x, mu_y, var_x, var_y, cs = windowed_moments(xs, ys, sizes, ws)
         # cs = (2 cov + c2) / (var_x + var_y + c2)
         cs *= 2.0
         cs += c2
@@ -513,10 +513,10 @@ def ms_ssim_scale_count(shape, params: MSSSIMParams | None = None) -> int:
     if not 1 <= params.scales <= len(MS_SSIM_EXPONENTS):
         raise ValueError(f"scales must lie in 1..{len(MS_SSIM_EXPONENTS)} (one "
                          f"exponent each), got {params.scales}")
-    win = GaussianWindow.for_shape(shape).sizes
+    sizes = window_sizes(shape)
     dims = list(shape)
     usable = 0
-    while usable < params.scales and all(d >= w for d, w in zip(dims, win)):
+    while usable < params.scales and all(d >= k for d, k in zip(dims, sizes)):
         usable += 1
         dims = [d // 2 for d in dims]
     if usable < params.scales:

@@ -11,19 +11,22 @@ by the tap's offset, summed into one accumulator (3 products for a 3x3
 kernel, 9 for 3x3x3); an optional leading batch axis goes through the
 stack in blocks of as many items as fit ``_CONV_STACK_BYTES``, each
 block's items a broadcast axis of its products.
-The Gaussian window is separable, so the moment maps are taken one axis
-at a time over all five maps at once, each pass a few matrix products
-with a banded matrix of the axis's taps (on the last axis, cache-sized
-chunks of rows times a C-contiguous copy of the band's transpose); the
-variances and the covariance are then formed in place in that stack.  The
-SSIM family takes these moments slab by slab, in row slabs sized by
-``_SLAB_BYTES``, never for a whole image at once.  Every map of a slab
-lives in a ``Workspace``, two buffers that one scoring call makes and
-reuses for all its slabs, scales and pairs; the only state kept between
-calls is the read-only band matrices and their transposes, built once per
-(window size, block) by ``_band`` and ``_band_t``.  Inputs are widened to
-float64 and scanned once, where they enter (``as_f64``, ``TensorND``);
-``windowed_moments`` checks nothing and trusts its one caller.
+The Gaussian window is separable and carried as its per-axis tap counts,
+which ``window_sizes`` alone derives from a shape; the taps themselves
+(``_gauss_1d``) live only in the band matrices.  So the moment maps are
+taken one axis at a time over all five maps at once, each pass a few
+matrix products with a banded matrix of the axis's taps (on the last axis,
+cache-sized chunks of rows times a C-contiguous copy of the band's
+transpose); the variances and the covariance are then formed in place in
+that stack.  The SSIM family takes these moments slab by slab, in row
+slabs sized by ``_SLAB_BYTES``, never for a whole image at once.  Every
+map of a slab lives in a ``Workspace``, two buffers that one scoring call
+makes and reuses for all its slabs, scales and pairs; the only state kept
+between calls is the read-only band matrices and their transposes, built
+once per (window size, block) by ``_band`` and ``_band_t``.  Inputs are
+widened to float64 and scanned once, where they enter (``as_f64``,
+``TensorND``); ``windowed_moments`` checks nothing and trusts its one
+caller.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
@@ -39,8 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,49 +221,17 @@ def _gauss_1d(size: int) -> np.ndarray:
     return g / g.sum()
 
 
-@dataclass(frozen=True)
-class GaussianWindow:
-    """Separable Gaussian weighting window, normalized to unit sum.
-
-    Sizes are per-axis and must be odd so the window has a center sample.
-    The window is the outer product of the per-axis ``taps``, each
-    ``WINDOW_SIGMA`` wide; each tap vector sums to one and is symmetric
-    under reflection by construction.
-    """
-
-    sizes: tuple[int, ...]
-    # derived from sizes, so equality and hashing leave the arrays out
-    taps: tuple[np.ndarray, ...] = field(compare=False)
-
-    @classmethod
-    def create(cls, sizes) -> "GaussianWindow":
-        sizes = tuple(int(s) for s in sizes)
-        for s in sizes:
-            if s < 1 or s % 2 == 0:
-                raise ValueError(f"window sizes must be odd and positive, got {sizes}")
-        taps = tuple(_gauss_1d(s) for s in sizes)
-        return cls(sizes, taps)
-
-    @classmethod
-    def for_shape(cls, shape) -> "GaussianWindow":
-        """``WINDOW_SIZE`` window truncated per axis to the largest odd length that fits."""
-        sizes = []
-        for n in shape:
-            s = min(WINDOW_SIZE, int(n))
-            if s % 2 == 0:
-                s -= 1
-            if s < 1:
-                raise ValueError(f"axis of length {n} cannot host a window")
-            sizes.append(s)
-        return cls.create(tuple(sizes))
-
-
-class Moments(NamedTuple):
-    mu_x: np.ndarray
-    mu_y: np.ndarray
-    var_x: np.ndarray
-    var_y: np.ndarray
-    cov_xy: np.ndarray
+def window_sizes(shape) -> tuple[int, ...]:
+    """The SSIM window's tap count on each axis of ``shape``: ``WINDOW_SIZE``,
+    or the largest odd length that fits a shorter axis."""
+    sizes = []
+    for n in shape:
+        s = min(WINDOW_SIZE, int(n))
+        s -= 1 - s % 2  # an even length loses one tap, keeping a center sample
+        if s < 1:
+            raise ValueError(f"axis of length {n} cannot host a window")
+        sizes.append(s)
+    return tuple(sizes)
 
 
 def conv(x, kernel) -> np.ndarray:
@@ -450,25 +420,28 @@ def _band_correlate(s: np.ndarray, k: int, axis: int, out: np.ndarray) -> np.nda
     return out
 
 
-def windowed_moments(x, y, window: GaussianWindow, ws: Workspace | None = None) -> Moments:
+def windowed_moments(x, y, sizes: tuple[int, ...],
+                     ws: Workspace | None = None) -> tuple[np.ndarray, ...]:
     """Weighted first and second moments of (x, y) at every window position.
 
     Only fully interior positions are kept.  The maps x, y, x^2, y^2 and xy
     are written into one (5, ...) stack and correlated with the window's
-    taps one axis at a time, each pass producing only valid positions
-    through blocked band-matrix products (``_band_correlate``).
+    taps one axis at a time, ``sizes[i]`` taps on axis i (``window_sizes``),
+    each pass producing only valid positions through blocked band-matrix
+    products (``_band_correlate``).
     Variances use the weighted E[v^2] - E[v]^2 form and are clamped at zero
     to absorb catastrophic cancellation on near-constant regions; the
     covariance is left unclamped.  Both are computed in place over the
-    second moments, with one spare map for the products.
+    second moments, with one spare map for the products.  Returns the plain
+    5-tuple (mu_x, mu_y, var_x, var_y, cov_xy).
 
     Every map lives in ``ws`` (a fresh ``Workspace`` if None): the five
     returned maps are views that the caller may overwrite, valid until
     ``ws`` is next used.  ``x`` and ``y`` may be the stack's first two maps
     for their shape, ``ws.take(0, (5,) + x.shape)[:2]``; copying them there
     is then a no-op.  Unchecked, the caller's to guarantee: ``x`` and ``y``
-    are finite float64 arrays of one shape, and ``window`` has one size per
-    axis, none longer than the axis.
+    are finite float64 arrays of one shape, and ``sizes`` has one odd size
+    per axis, none longer than the axis.
     """
     if ws is None:
         ws = Workspace()
@@ -478,13 +451,13 @@ def windowed_moments(x, y, window: GaussianWindow, ws: Workspace | None = None) 
     np.multiply(x, x, out=sums[2])
     np.multiply(y, y, out=sums[3])
     np.multiply(x, y, out=sums[4])
-    for axis, k in enumerate(window.sizes, start=1):
+    for axis, k in enumerate(sizes, start=1):
         shape = sums.shape[:axis] + (sums.shape[axis] - k + 1,) + sums.shape[axis + 1 :]
         sums = _band_correlate(sums, k, axis, ws.take(axis % 2, shape))
     mu_x, mu_y, var_x, var_y, cov_xy = sums  # second moments until overwritten
-    prod = ws.take((len(window.sizes) + 1) % 2, mu_x.shape)  # the buffer the last pass read
+    prod = ws.take((len(sizes) + 1) % 2, mu_x.shape)  # the buffer the last pass read
     var_x -= np.multiply(mu_x, mu_x, out=prod)
     var_y -= np.multiply(mu_y, mu_y, out=prod)
     cov_xy -= np.multiply(mu_x, mu_y, out=prod)
     np.maximum(sums[2:4], 0.0, out=sums[2:4])  # both variances
-    return Moments(mu_x, mu_y, var_x, var_y, cov_xy)
+    return mu_x, mu_y, var_x, var_y, cov_xy

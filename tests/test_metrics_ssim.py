@@ -29,7 +29,7 @@ from dcemetrics.metrics import (
     psnr,
     ssim,
 )
-from dcemetrics.tensor import GaussianWindow, VolumeSequence, windowed_moments
+from dcemetrics.tensor import VolumeSequence, window_sizes, windowed_moments
 from oracles import naive_ms_ssim, naive_ssim
 
 
@@ -190,6 +190,17 @@ class TestMSSSIM:
         assert ms_ssim_scale_count((176, 176), MSSSIMParams()) == 5
         # 40 -> 20 -> 10: the 11-tap window fits at 40 and 20 only, so two scales
         assert ms_ssim_scale_count((40, 40), MSSSIMParams()) == 2
+
+    @pytest.mark.parametrize("shape", [(1, 40), (2, 64), (3, 100), (4, 64, 64), (12, 200, 200),
+                                       (40, 6), (9, 9, 176)])
+    def test_scale_count_agrees_with_window_sizes_on_thin_shapes(self, shape):
+        # every scale counted holds the full-resolution window on every axis,
+        # and the next scale, short of five, does not
+        sizes = window_sizes(shape)
+        n = ms_ssim_scale_count(shape, MSSSIMParams())
+        fits = [all(d >> j >= k for d, k in zip(shape, sizes)) for j in range(6)]
+        assert fits[:n] == [True] * n
+        assert n == 5 or not fits[n]
 
     def test_thin_volume_falls_back_to_single_scale(self):
         p = MSSSIMParams(data_range=255.0)
@@ -461,11 +472,11 @@ class TestEvaluateTriple:
         cases = [self._sequence_and_triple(79 + i, shape) for i, shape in enumerate(shapes)]
         moments = metrics.windowed_moments
 
-        def isolated(x, y, window, ws):
+        def isolated(x, y, sizes, ws):
             own = tensor.Workspace()
             for i in (0, 1):
                 own.take(i, (5,) + x.shape).fill(np.nan)
-            return moments(x, y, window, own)
+            return moments(x, y, sizes, own)
 
         with monkeypatch.context() as mp:
             mp.setattr(metrics, "windowed_moments", isolated)
@@ -748,12 +759,12 @@ class TestMomentsContract:
         cw_ssim(g, c, dm, SSIMParams(per_slice=per_slice))
         evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode))
         assert len(calls) >= 6
-        for x, y, window in calls:
+        for x, y, sizes in calls:
             assert x.dtype == y.dtype == np.float64
             assert x.shape == y.shape
             assert np.isfinite(x).all() and np.isfinite(y).all()
-            assert len(window.sizes) == x.ndim
-            assert all(w <= n for w, n in zip(window.sizes, x.shape))
+            assert len(sizes) == x.ndim
+            assert all(k % 2 == 1 and k <= n for k, n in zip(sizes, x.shape))
 
 
 class TestInputsUntouched:
@@ -792,12 +803,12 @@ class TestInputsUntouched:
     @pytest.mark.parametrize("shape", [(48, 48), (12, 24, 24)])
     def test_moments_and_ssim_family(self, shape):
         x, y = _image(72, shape), _image(73, shape)
-        window = GaussianWindow.for_shape(shape)
-        held = [x, y, *window.taps]
-        m = self._unchanged(held, lambda: windowed_moments(x, y, window))
+        sizes = window_sizes(shape)
+        held = [x, y]
+        m = self._unchanged(held, lambda: windowed_moments(x, y, sizes))
         # a later call, and the scores built on fresh moments, leave these alone
         held += list(m)
-        self._unchanged(held, lambda: windowed_moments(y, x, window))
+        self._unchanged(held, lambda: windowed_moments(y, x, sizes))
         self._unchanged(held, lambda: ssim(x, y))
         self._unchanged(held, lambda: ms_ssim(x, y))
         self._unchanged(held, lambda: ms_ssim(x, y, MSSSIMParams(per_slice=True)))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from dcemetrics import tensor
 from dcemetrics.tensor import (
-    GaussianWindow,
     TensorND,
     VolumeSequence,
     check_spacing,
     conv,
+    window_sizes,
     windowed_moments,
 )
 from oracles import brute_conv, naive_window_moments
@@ -225,34 +225,48 @@ class TestConv:
 
 
 class TestGaussianWindow:
+    """The window is its per-axis sizes; ``_gauss_1d`` makes its taps, which
+    only the band matrices hold."""
+
     def test_sum_is_one(self):
-        w = GaussianWindow.create((11, 11))
-        for taps in w.taps:
-            assert abs(taps.sum() - 1.0) < 1e-12
+        for k in range(1, 12, 2):
+            assert abs(tensor._gauss_1d(k).sum() - 1.0) < 1e-12
 
     def test_reflection_symmetry(self):
-        w = GaussianWindow.create((11, 7))
-        assert [t.size for t in w.taps] == [11, 7]
-        for taps in w.taps:
+        for k in range(1, 12, 2):
+            taps = tensor._gauss_1d(k)
+            assert taps.size == k
             npt.assert_array_equal(taps, taps[::-1])
 
-    def test_rejects_even_or_nonpositive(self):
-        with pytest.raises(ValueError, match="odd"):
-            GaussianWindow.create((4,))
-        with pytest.raises(ValueError, match="odd and positive"):
-            GaussianWindow.create((-1,))
+    def test_sizes_truncate_to_odd(self):
+        assert window_sizes((64, 8, 5)) == (11, 7, 5)
 
-    def test_for_shape_truncates_to_odd(self):
-        w = GaussianWindow.for_shape((64, 8, 5))
-        assert w.sizes == (11, 7, 5)
+    def test_rejects_axis_without_room(self):
+        with pytest.raises(ValueError, match="axis of length 0 cannot host a window"):
+            window_sizes((12, 0, 5))
 
-    def test_equal_windows_compare_and_hash_alike(self):
-        w = GaussianWindow.for_shape((64, 8, 5))
-        same = GaussianWindow.create(w.sizes)
-        assert w == same
-        assert hash(w) == hash(same)
-        assert len({w, same}) == 1
-        assert w != GaussianWindow.create((11, 7, 3))
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    @pytest.mark.parametrize("block", [1, 13, 16])
+    def test_band_rows_hold_the_taps(self, k, block):
+        band = tensor._band(k, block)
+        assert band.shape == (block, block + k - 1)
+        for i, row in enumerate(band):
+            want = np.zeros(block + k - 1)
+            want[i : i + k] = tensor._gauss_1d(k)
+            npt.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    @pytest.mark.parametrize("block", [1, 13, 16])
+    def test_band_transpose_is_c_contiguous(self, k, block):
+        band_t = tensor._band_t(k, block)
+        npt.assert_array_equal(band_t, tensor._band(k, block).T)
+        assert band_t.flags.c_contiguous
+
+    def test_bands_are_read_only(self):
+        for band in (tensor._band(11, 16), tensor._band_t(11, 16)):
+            assert not band.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                band[0, 0] = 1.0
 
 
 class TestBandCorrelate:
@@ -269,8 +283,7 @@ class TestBandCorrelate:
         rng = np.random.default_rng(k)
         s = rng.uniform(0, 10, size=lead + (n,))
         out = np.full(lead + (n_out,), np.nan)  # rows a pass skips stay NaN
-        taps = GaussianWindow.create((k,)).taps[0]
-        want = sum(t * s[..., j : j + n_out] for j, t in enumerate(taps))
+        want = sum(t * s[..., j : j + n_out] for j, t in enumerate(tensor._gauss_1d(k)))
         got = tensor._band_correlate(s, k, len(lead), out)
         assert got is out
         npt.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -278,34 +291,28 @@ class TestBandCorrelate:
 
 class TestWindowedMoments:
     def test_constant_image(self):
-        w = GaussianWindow.create((5, 5))
         x = np.full((9, 9), 3.25)
-        m = windowed_moments(x, x, w)
-        npt.assert_allclose(m.mu_x, 3.25, atol=1e-12)
-        npt.assert_allclose(m.var_x, 0.0, atol=1e-12)
-        assert np.all(m.var_x >= 0)
+        mu_x, _, var_x, _, _ = windowed_moments(x, x, (5, 5))
+        npt.assert_allclose(mu_x, 3.25, atol=1e-12)
+        npt.assert_allclose(var_x, 0.0, atol=1e-12)
+        assert np.all(var_x >= 0)
 
     def test_self_covariance_equals_variance(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(12, 12))
-        w = GaussianWindow.create((5, 5))
-        m = windowed_moments(x, x, w)
-        npt.assert_allclose(m.cov_xy, m.var_x, atol=1e-12)
+        _, _, var_x, _, cov_xy = windowed_moments(x, x, (5, 5))
+        npt.assert_allclose(cov_xy, var_x, atol=1e-12)
 
     def test_matches_naive_sliding_window(self):
         rng = np.random.default_rng(33)
         x = rng.uniform(0, 10, size=(16, 16))
         y = rng.uniform(0, 10, size=(16, 16))
-        w = GaussianWindow.create((7, 7))
-        m = windowed_moments(x, y, w)
-        weights = np.multiply.outer(*w.taps)
+        m = windowed_moments(x, y, (7, 7))
+        weights = np.multiply.outer(tensor._gauss_1d(7), tensor._gauss_1d(7))
         for pos in [(0, 0), (3, 5), (9, 9), (2, 0)]:
-            mu_x, mu_y, var_x, var_y, cov = naive_window_moments(x, y, weights, pos)
-            assert m.mu_x[pos] == pytest.approx(mu_x, abs=1e-12)
-            assert m.mu_y[pos] == pytest.approx(mu_y, abs=1e-12)
-            assert m.var_x[pos] == pytest.approx(var_x, abs=1e-10)
-            assert m.var_y[pos] == pytest.approx(var_y, abs=1e-10)
-            assert m.cov_xy[pos] == pytest.approx(cov, abs=1e-10)
+            want = naive_window_moments(x, y, weights, pos)
+            for got, value, tol in zip(m, want, (1e-12, 1e-12, 1e-10, 1e-10, 1e-10)):
+                assert got[pos] == pytest.approx(value, abs=tol)
 
     @settings(derandomize=True, deadline=None)
     @given(data=st.data())
@@ -322,35 +329,30 @@ class TestWindowedMoments:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.uniform(0, 10, size=shape)
         y = rng.uniform(0, 10, size=shape)
-        w = GaussianWindow.create(sizes)
-        m = windowed_moments(x, y, w)
+        m = windowed_moments(x, y, sizes)
         out_shape = tuple(n - ws + 1 for n, ws in zip(shape, sizes))
-        assert m.mu_x.shape == out_shape
+        assert m[0].shape == out_shape
         weights = np.ones(())
-        for taps in w.taps:
-            weights = np.multiply.outer(weights, taps)
+        for k in sizes:
+            weights = np.multiply.outer(weights, tensor._gauss_1d(k))
         # every position on each axis-parallel line through one drawn anchor
         anchor = tuple(data.draw(st.integers(0, n - 1)) for n in out_shape)
         for axis, n in enumerate(out_shape):
             for i in range(n):
                 pos = anchor[:axis] + (i,) + anchor[axis + 1 :]
-                mu_x, mu_y, var_x, var_y, cov = naive_window_moments(x, y, weights, pos)
-                assert m.mu_x[pos] == pytest.approx(mu_x, abs=1e-12)
-                assert m.mu_y[pos] == pytest.approx(mu_y, abs=1e-12)
-                assert m.var_x[pos] == pytest.approx(var_x, abs=1e-10)
-                assert m.var_y[pos] == pytest.approx(var_y, abs=1e-10)
-                assert m.cov_xy[pos] == pytest.approx(cov, abs=1e-10)
+                want = naive_window_moments(x, y, weights, pos)
+                for got, value, tol in zip(m, want, (1e-12, 1e-12, 1e-10, 1e-10, 1e-10)):
+                    assert got[pos] == pytest.approx(value, abs=tol)
 
     def test_variance_nonneg_and_cauchy_schwarz(self):
         rng = np.random.default_rng(41)
-        w = GaussianWindow.create((5, 5))
         for _ in range(10):
             x = rng.normal(size=(10, 10))
             y = rng.normal(size=(10, 10))
-            m = windowed_moments(x, y, w)
-            assert np.all(m.var_x >= 0)
-            assert np.all(m.var_y >= 0)
-            assert np.all(np.abs(m.cov_xy) <= np.sqrt(m.var_x * m.var_y) + 1e-9)
+            _, _, var_x, var_y, cov_xy = windowed_moments(x, y, (5, 5))
+            assert np.all(var_x >= 0)
+            assert np.all(var_y >= 0)
+            assert np.all(np.abs(cov_xy) <= np.sqrt(var_x * var_y) + 1e-9)
 
     @pytest.mark.parametrize("shape", [(16, 48, 48), (32, 48, 48), (256, 256)])
     def test_peak_memory_linear_in_voxels(self, shape):
@@ -358,7 +360,7 @@ class TestWindowedMoments:
         rng = np.random.default_rng(53)
         x = rng.uniform(0, 255, size=shape)
         y = rng.uniform(0, 255, size=shape)
-        w = GaussianWindow.for_shape(shape)
-        peak = _traced_peak(lambda: windowed_moments(x, y, w))
+        sizes = window_sizes(shape)
+        peak = _traced_peak(lambda: windowed_moments(x, y, sizes))
         assert peak < 16 * 8 * x.size, f"peak {peak / (8 * x.size):.1f} x 8 B per voxel"
 
