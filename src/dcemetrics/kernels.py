@@ -81,8 +81,8 @@ def adain(content, style, eps: float = 1e-5) -> np.ndarray:
         raise ValueError(
             f"channel mismatch: content has {c.shape[0]}, style has {s.shape[0]}"
         )
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     mu_c = c.mean(axis=_spatial_axes(c), keepdims=True)
     var_c = c.var(axis=_spatial_axes(c), keepdims=True)
     stat_shape = (s.shape[0],) + (1,) * (c.ndim - 1)
@@ -237,7 +237,6 @@ class FixedFeatureExtractor:
 
     kernels: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    seed: int
 
     @classmethod
     def from_seed(
@@ -250,7 +249,7 @@ class FixedFeatureExtractor:
             scale = 1.0 / np.sqrt(cin * 9)
             kernels.append(rng.normal(0.0, scale, size=(cout, cin) + _KERNEL))
             biases.append(rng.normal(0.0, 0.1, size=cout))
-        return cls(tuple(kernels), tuple(biases), seed)
+        return cls(tuple(kernels), tuple(biases))
 
     @property
     def in_channels(self) -> int:

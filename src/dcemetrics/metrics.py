@@ -22,9 +22,9 @@ one ``tensor.Workspace`` for those maps: a public ``ssim``, ``ms_ssim`` or
 ``cw_ssim`` call one of its own, ``evaluate_triple`` one for all three
 SSIM-family pairs of a triple, which it scores, and its PSNR, through the
 same private stages as the public functions, so its inputs are checked
-once.  It holds one weight map per triple: the distances turn into the
-weights in place, and the style pair's inverted weights are formed slab by
-slab in the moment workspace.
+once.  Its one weight map comes from ``distance_map``, the only path from
+a CE mask to weights, in place of the fresh distances; the style pair's
+inverted weights are formed slab by slab in the moment workspace.
 
 Distances come from scipy's exact Euclidean feature transform, turned into
 distances in row slabs with scipy's own arithmetic, so weightings match
@@ -40,7 +40,6 @@ import logging
 import math
 import warnings
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,8 +115,6 @@ class CEMask:
     """Boolean map of contrast-enhancing voxels for one sequence."""
 
     mask: np.ndarray
-    threshold_used: float
-    baseline_index: int
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -129,14 +126,11 @@ class DistanceMap:
 
     The plain map weights voxels far from enhancement most (content
     scoring); the inverted map flips the emphasis onto enhancing voxels
-    (style scoring).  ``distances`` keeps the raw Euclidean distances that
-    produced the weights (infinite when the mask had no CE voxel).
+    (style scoring).  ``weights`` is the only volume-sized array it holds.
     """
 
     weights: np.ndarray
     inverted: bool = False
-    spacing_mode: str = "voxel"
-    distances: np.ndarray | None = None
 
 
 @dataclass
@@ -204,11 +198,12 @@ def detect_ce(
     frame - baseline; ``signed_reverse`` flips the sign for data where
     enhancement darkens the image.  A non-finite threshold raises
     ``ValueError``, as does a difference or mean that overflows float64,
-    naming the sequence.
+    naming the sequence.  A plain (T, spatial...) array is checked as a
+    ``VolumeSequence``.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    frames = seq.frames if isinstance(seq, VolumeSequence) else as_f64(seq, "sequence")
+    frames = (seq if isinstance(seq, VolumeSequence) else VolumeSequence(seq)).frames
     if frames.shape[0] < 2:
         raise ValueError("CE detection needs at least two frames")
     if not 0 <= baseline_index < frames.shape[0]:
@@ -225,7 +220,7 @@ def detect_ce(
         mean_rise /= len(later)
     if signed_reverse:  # exact: rounding is symmetric under negation
         np.negative(mean_rise, out=mean_rise)
-    return CEMask(mean_rise > threshold, float(threshold), int(baseline_index))
+    return CEMask(mean_rise > threshold)
 
 
 def distance_transform(mask, spacing=None) -> np.ndarray:
@@ -300,39 +295,26 @@ def distance_map(mask, spacing=None, mode: str = "voxel") -> DistanceMap:
 
     ``mode='physical'`` measures distances in millimetres using
     ``spacing``; the default voxel mode ignores spacing.  The mask and
-    spacing are ``distance_transform``'s to check.
+    spacing are ``distance_transform``'s to check; the weights are formed
+    in place in its output.  ``evaluate_triple`` takes its weights here.
     """
-    dist = distance_transform(mask, _mode_spacing(spacing, mode))
-    return DistanceMap(_weigh(dist, np.empty_like(dist)), False, mode, dist)
-
-
-def _mode_spacing(spacing, mode: str):
-    """The spacing ``distance_transform`` gets in spacing ``mode``: None in voxel mode."""
     if mode not in ("voxel", "physical"):
         raise ValueError(f"unknown spacing mode {mode!r}")
     if mode == "physical" and spacing is None:
         raise ValueError("physical mode needs per-axis spacing")
-    return spacing if mode == "physical" else None
-
-
-def _weigh(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``distance_map``'s weights of the distances ``dist``, written into ``out``.
-
-    ``out`` may be ``dist`` itself, which then turns into its weights.
-    """
-    if dist.min() == np.inf:  # all +inf: the mask has no CE voxel
+    w = distance_transform(mask, spacing if mode == "physical" else None)
+    d_max = w.max()
+    if d_max == np.inf:  # distance_transform is +inf everywhere only without a CE voxel
         logger.info("distance_map: mask has no CE voxel, weighting is uniform 1.0")
-        out.fill(1.0)
-        return out
-    d_max = dist.max()
-    if d_max == 0.0:
+        w.fill(1.0)
+    elif d_max == 0.0:
         logger.info("distance_map: mask is all CE, weighting is uniform 0.1")
-        out.fill(0.1)
+        w.fill(0.1)
     else:
-        np.divide(dist, d_max, out=out)  # then 0.1 + 0.9 * w in place
-        out *= 0.9
-        out += 0.1
-    return out
+        w /= d_max  # then 0.1 + 0.9 * w in place
+        w *= 0.9
+        w += 0.1
+    return DistanceMap(w)
 
 
 def invert_map(dm: DistanceMap) -> DistanceMap:
@@ -343,7 +325,7 @@ def invert_map(dm: DistanceMap) -> DistanceMap:
     """
     if dm.inverted:
         raise ValueError("distance map is already inverted")
-    return DistanceMap(1.1 - dm.weights, True, dm.spacing_mode, dm.distances)
+    return DistanceMap(1.1 - dm.weights, True)
 
 
 def _resolve_range(reference: np.ndarray, data_range) -> float:
@@ -361,16 +343,9 @@ def _resolve_range(reference: np.ndarray, data_range) -> float:
     return float(data_range)
 
 
-_in_named_overflow = ContextVar("_in_named_overflow", default=False)
-
-
 @contextmanager
 def _named_overflow(**inputs):
     """Raise a float64 overflow in the block as a ValueError naming the largest input."""
-    if _in_named_overflow.get():  # nested: the enclosing block names its caller's inputs
-        yield
-        return
-    token = _in_named_overflow.set(True)
     try:
         with np.errstate(over="raise"):
             yield
@@ -378,8 +353,6 @@ def _named_overflow(**inputs):
         name = max(inputs, key=lambda k: np.abs(inputs[k]).max())
         raise ValueError(f"{name} is too large to score: float64 overflows on its "
                          f"values; rescale the inputs") from None
-    finally:
-        _in_named_overflow.reset(token)
 
 
 def _downsample2(a: np.ndarray) -> np.ndarray:
@@ -633,7 +606,7 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     scores come from the private stages behind ``psnr``, ``ssim``,
     ``ms_ssim`` and ``cw_ssim``, so nothing is checked twice, and the
     three SSIM-family pairs share one moment ``Workspace``.  The weights
-    are ``distance_map``'s, formed in place of the fresh distances, and
+    are one ``distance_map`` call's, formed in place of the distances, and
     the style pair inverts them slab by slab as ``invert_map`` would, so
     neither a distance map nor an inverted map is held beside them.
     """
@@ -667,9 +640,7 @@ def evaluate_triple(generated, content, style, seq_for_mask: VolumeSequence,
     notes: list[str] = []
     ce = detect_ce(seq_for_mask, params.baseline_index, params.threshold,
                    params.signed_reverse)
-    spacing = _mode_spacing(seq_for_mask.spacing_mm, params.spacing_mode)
-    dist = distance_transform(ce, spacing)
-    weights = _weigh(dist, out=dist)  # distance_map's weights, in place of the distances
+    weights = distance_map(ce, seq_for_mask.spacing_mm, params.spacing_mode).weights
     if not ce.mask.any():
         notes.append("no CE voxels detected; content weighting is uniform 1.0")
     elif ce.mask.all():

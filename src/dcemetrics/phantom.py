@@ -243,7 +243,7 @@ def generate(spec: PhantomSpec) -> PhantomOutput:
             truth |= mask
     return PhantomOutput(
         VolumeSequence(frames, spacing_mm=spec.spacing_mm),
-        CEMask(truth, threshold_used=0.0, baseline_index=0),
+        CEMask(truth),
         curves,
     )
 

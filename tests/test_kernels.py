@@ -81,8 +81,10 @@ class TestAdaIN:
             adain(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            adain(np.zeros((1, 4, 4)), np.ones((1, 4, 4)), eps=0.0)
+        # nan would return all NaN, inf the style means, with no error
+        for eps in (0.0, -1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                adain(np.zeros((1, 4, 4)), np.ones((1, 4, 4)), eps=eps)
 
 
 class TestConvLSTMCell:

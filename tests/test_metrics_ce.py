@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import dcemetrics.metrics as metrics
 import dcemetrics.tensor as tensor
 from dcemetrics.metrics import (
     CEMask,
@@ -37,8 +38,6 @@ class TestDetectCE:
         seq = VolumeSequence(np.full((4, 8, 8), 100.0))
         ce = detect_ce(seq, baseline_index=0, threshold=20.0)
         assert not ce.mask.any()
-        assert ce.threshold_used == 20.0
-        assert ce.baseline_index == 0
 
     def test_recovers_known_ellipse(self):
         truth = _ellipse_mask((16, 16), (8, 8), (4, 5))
@@ -69,6 +68,18 @@ class TestDetectCE:
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError, match="two frames"):
             detect_ce(VolumeSequence(np.zeros((1, 4, 4))))
+
+    @pytest.mark.parametrize("frames", [np.array([0.0, 50.0, 60.0]), np.array(3.0)],
+                             ids=["rank-1", "rank-0"])
+    def test_raw_array_needs_a_spatial_axis(self, frames):
+        # a raw array is checked as a VolumeSequence, not scored as a 0-d mask
+        with pytest.raises(ValueError, match="at least one spatial axis"):
+            detect_ce(frames)
+
+    def test_raw_array_with_one_spatial_axis(self):
+        frames = np.full((3, 4), 50.0)
+        frames[1:, 1] += 40.0
+        assert detect_ce(frames).mask.tolist() == [False, True, False, False]
 
     def test_baseline_out_of_range(self):
         with pytest.raises(ValueError, match="baseline_index"):
@@ -305,7 +316,7 @@ class TestDistanceMap:
         npt.assert_allclose(dm.weights + invert_map(dm).weights, 1.1, rtol=0, atol=1e-15)
 
     def test_accepts_ce_mask_wrapper(self):
-        ce = CEMask(np.array([[True, False]]), 20.0, 0)
+        ce = CEMask(np.array([[True, False]]))
         dm = distance_map(ce)
         assert dm.weights.shape == (1, 2)
 
@@ -319,14 +330,32 @@ class TestDistanceMap:
         with pytest.raises(ValueError, match="finite and positive"):
             distance_map(np.full((3, 3), fill), (0.0, 1.0), "physical")
 
-    def test_physical_mode_scales_distances(self):
+    def test_physical_mode_scales_distances(self, monkeypatch):
         mask = np.zeros((1, 3), dtype=bool)
         mask[0, 0] = True
-        dm_vox = distance_map(mask, mode="voxel")
-        dm_phys = distance_map(mask, spacing=(1.0, 2.0), mode="physical")
+        rows = []  # each distance_transform output's first row, before it turns into weights
+
+        def recording(m, spacing=None):
+            dist = distance_transform(m, spacing)
+            rows.append(dist[0].copy())
+            return dist
+
+        monkeypatch.setattr(metrics, "distance_transform", recording)
+        distance_map(mask, spacing=(1.0, 2.0), mode="voxel")  # voxel mode ignores spacing
+        distance_map(mask, spacing=(1.0, 2.0), mode="physical")
         # normalization hides the absolute scale; raw distances must not
-        npt.assert_allclose(dm_phys.distances[0], [0.0, 2.0, 4.0])
-        npt.assert_allclose(dm_vox.distances[0], [0.0, 1.0, 2.0])
+        npt.assert_allclose(rows[0], [0.0, 1.0, 2.0])
+        npt.assert_allclose(rows[1], [0.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("fill", [None, False, True], ids=["partial", "no-ce", "all-ce"])
+    def test_weights_formed_in_the_distance_transform_output(self, fill, monkeypatch):
+        # one volume-sized array: the weights are the fresh distances, overwritten
+        made = []
+        monkeypatch.setattr(metrics, "distance_transform", lambda m, spacing=None: (
+            made.append(distance_transform(m, spacing)) or made[-1]))
+        mask = np.eye(5, dtype=bool) if fill is None else np.full((5, 5), fill)
+        dm = distance_map(mask, (1.0, 2.0), "physical")
+        assert len(made) == 1 and dm.weights is made[0]
 
 
 class TestInvertMap:

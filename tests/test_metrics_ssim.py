@@ -21,7 +21,6 @@ from dcemetrics.metrics import (
     cw_ssim,
     detect_ce,
     distance_map,
-    distance_transform,
     evaluate_triple,
     invert_map,
     ms_ssim,
@@ -697,6 +696,26 @@ class TestEvaluateTriple:
         assert calls.count("distance_transform") == 1
         assert calls.count("windowed_moments") == ms_ssim_scale_count(c.shape) + 2
 
+    @pytest.mark.parametrize("shape, slice_mode, spacing", [
+        ((24, 24), "3d", None), ((12, 24, 24), "2d", None), ((24, 24), "3d", (1.0, 2.5)),
+    ], ids=["image", "volume-by-slice", "physical"])
+    def test_weights_come_from_one_distance_map_call(self, shape, slice_mode, spacing,
+                                                     monkeypatch):
+        # distance_map is the one path from a CE mask to weights; both weighted
+        # pairs get its array itself, not a copy or a second map
+        seq, g, c, s = self._sequence_and_triple(79, shape)
+        seq = VolumeSequence(seq.frames, spacing_mm=spacing)
+        mode = "voxel" if spacing is None else "physical"
+        maps, weights_seen = [], []
+        dmap, family = metrics.distance_map, metrics._ssim_family
+        monkeypatch.setattr(metrics, "distance_map",
+                            lambda *a: maps.append(dmap(*a)) or maps[-1])
+        monkeypatch.setattr(metrics, "_ssim_family", lambda *a, **kw: (
+            weights_seen.append(a[5] if len(a) > 5 else kw.get("w")) or family(*a, **kw)))
+        evaluate_triple(g, c, s, seq, EvalParams(slice_mode=slice_mode, spacing_mode=mode))
+        assert len(maps) == 1
+        assert [w is maps[0].weights for w in weights_seen if w is not None] == [True, True]
+
     def test_scales_counted_once_and_public_ssim_unused(self, monkeypatch):
         # the benchmark times metrics.ssim and metrics.cw_ssim as separate layers
         seq, g, c, s = self._sequence_and_triple(69)
@@ -793,10 +812,8 @@ class TestInputsUntouched:
             self._unchanged([seq.frames], lambda: detect_ce(seq, 1, -20.0, reverse))
         ce = detect_ce(seq)
         dm = self._unchanged([ce.mask], lambda: distance_map(ce))
-        npt.assert_array_equal(dm.distances, distance_transform(ce.mask))
-        inv = self._unchanged([dm.weights, dm.distances], lambda: invert_map(dm))
-        assert inv.distances is dm.distances
-        held = [g, c, s, dm.weights, inv.weights, dm.distances]
+        inv = self._unchanged([dm.weights], lambda: invert_map(dm))
+        held = [g, c, s, dm.weights, inv.weights]
         self._unchanged(held, lambda: cw_ssim(g, c, dm, mode="content"))
         self._unchanged(held, lambda: cw_ssim(g, s, inv, mode="style"))
 
