@@ -20,7 +20,12 @@ loops and finite differences:
   definition, which both the public loss and the check call.  The L1 and
   adversarial gradients are public functions; the feature and style
   gradients live in the check itself, pulled back through the extractor's
-  adjoint from the fixed-side features it extracts once.
+  adjoint from the fixed-side features it extracts once.  One probe loop,
+  ``_grad_checks``, serves ``grad_check`` (one loss) and
+  ``run_grad_checks``, whose feature and style checks share ``g``: they
+  run ``features_and_vjp(g)`` once, apply its pullback to each loss's
+  cotangent and take their distances from one extractor pass per stack
+  of probes.
 
 The paper's convolution with kernels predicted from a style code is not
 kept; every convolution is ``tensor.conv``, zero-padded and size-preserving.
@@ -30,7 +35,9 @@ extractor as (spatial...) and are lifted to a single channel.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -255,7 +262,8 @@ class FixedFeatureExtractor:
     def in_channels(self) -> int:
         return self.kernels[0].shape[1]
 
-    def _lift(self, image) -> np.ndarray:
+    def _lift(self, image) -> tuple[np.ndarray, bool]:
+        """``image`` as (C, spatial...) or a batch, and whether it was a plain image."""
         x = as_f64(image, "image")
         n_sp = self.kernels[0].ndim - 2
         if x.ndim > n_sp:  # already (C, spatial...) or a batch (B, C, spatial...)
@@ -264,10 +272,10 @@ class FixedFeatureExtractor:
                     f"feature input has {x.shape[-n_sp - 1]} channels, "
                     f"expected {self.in_channels}"
                 )
-            return x
+            return x, False
         if self.in_channels != 1:
             raise ValueError("plain images require a single-channel extractor")
-        return x[np.newaxis]
+        return x[np.newaxis], True
 
     def features(self, image) -> np.ndarray:
         """Feature map (C_last, spatial...) for an image (spatial...) or (C, spatial...).
@@ -280,15 +288,13 @@ class FixedFeatureExtractor:
 
     def features_and_vjp(self, image):
         """Features plus a pullback mapping d(loss)/d(features) to d(loss)/d(image)."""
-        a = self._lift(image)
+        a, plain = self._lift(image)
         activations = [a]
         for k, b in zip(self.kernels, self.biases):
             z = conv(a, k)
             z += b.reshape((-1,) + (1,) * (k.ndim - 2))
             a = np.tanh(z, out=z)
             activations.append(a)
-
-        lifted_plain = np.asarray(image).ndim == a.ndim - 1
 
         def vjp(cotangent: np.ndarray) -> np.ndarray:
             grad = np.asarray(cotangent, dtype=np.float64)
@@ -302,7 +308,7 @@ class FixedFeatureExtractor:
                 # axes and flip every spatial axis, then correlate again
                 k_adj = np.flip(k, axis=tuple(range(2, k.ndim))).swapaxes(0, 1)
                 grad = conv(grad, k_adj)
-            return grad[0] if lifted_plain else grad
+            return grad[0] if plain else grad
 
         return activations[-1], vjp
 
@@ -411,7 +417,8 @@ class GradCheckReport:
         return asdict(self)
 
 
-# probes per value_fn call; bounds the memory of one batched extractor pass
+# probes per extractor pass, which every check on those probes shares;
+# bounds the memory of one batched pass
 _PROBE_CHUNK = 32
 
 #: Largest ``max_rel_error`` a passing gradient check reports (acceptance
@@ -419,49 +426,127 @@ _PROBE_CHUNK = 32
 GRAD_CHECK_TOL = 1e-4
 
 
-def _probe_batch(probes: np.ndarray, fixed_features: np.ndarray) -> np.ndarray:
-    """Give a stack of plain-image probes the channel axis the extractor expects."""
-    return probes[:, np.newaxis] if probes.ndim == fixed_features.ndim else probes
+def _extractor_closures(g, extractor: FixedFeatureExtractor, fixed: dict) -> tuple[Callable, list]:
+    """One extractor pass, and a (loss_id, distance, analytic) check per feature loss of ``g``.
+
+    ``fixed`` maps ``"feature"`` and/or ``"style_frob"`` to that loss's fixed
+    second input, whose features (or Gram matrix) are extracted once.
+    ``g`` goes through ``features_and_vjp`` once and each loss's cotangent
+    is pulled back through that one adjoint.  ``extract`` runs a stack of
+    probes through the extractor as one batch; each loss's ``distance``
+    maps those features to the probes' loss values.
+    """
+    fixed_features = {}
+    for loss_id, other in fixed.items():
+        ga, oa = as_f64_pair(g, other, "g", "x" if loss_id == "feature" else "y")
+        fixed_features[loss_id] = extractor.features(oa)
+    fg, vjp = extractor.features_and_vjp(ga)
+    checks = []
+    for loss_id, fo in fixed_features.items():
+        if loss_id == "feature":
+            distance = partial(_feature_distance, fx=fo)
+            # d/dF of (1/f) ||F - fx||^2
+            cotangent = 2.0 * (fg - fo) / fg.size
+        else:
+            gram_y = gram_matrix(fo)
+            distance = partial(_style_distance, gram_y=gram_y)
+            # d/dF of ||G(F) - gram_y||^2 with G(F) = F F^T / f
+            flat = fg.reshape(fg.shape[0], -1)
+            cotangent = (4.0 / flat.size * ((gram_matrix(fg) - gram_y) @ flat)).reshape(fg.shape)
+        checks.append((loss_id, distance, vjp(cotangent)))
+    # a stack of plain-image probes gets the channel axis the extractor expects
+    return (lambda p: extractor.features(p[:, np.newaxis] if p.ndim == fg.ndim else p)), checks
 
 
-def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, np.ndarray]:
-    """Return (value_fn, analytic gradient) for the first argument.
+def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, Callable, np.ndarray]:
+    """Return (extract, distance, analytic gradient) for the first argument.
 
-    ``value_fn`` maps a stack of probes shaped (B, *first.shape) to their B
-    loss values.  The feature losses extract the fixed second argument's
-    features (or Gram matrix) once, pull the loss gradient back through the
-    extractor's adjoint and run each probe stack through the extractor as
-    one batch.
+    ``distance(extract(p))`` maps a stack of probes shaped (B, *first.shape)
+    to their B loss values.  ``extract`` is the identity for the L1 and
+    adversarial losses and the batched extractor pass for the feature
+    losses (``_extractor_closures``).
     """
     if loss_id == "l1":
         a, b = as_f64_pair(*inputs, "a", "b")
-        return (lambda p: _l1_distance(p, b)), grad_loss_l1(a, b)
+        return (lambda p: p), (lambda p: _l1_distance(p, b)), grad_loss_l1(a, b)
     if loss_id == "adv_mse":
         scores, target = inputs
         t = _adv_target(target)
-        return (lambda p: _adv_distance(p, t)), grad_loss_adv_mse(scores, target)
-    if loss_id == "feature":
-        g, x, extractor = inputs
-        ga, xa = as_f64_pair(g, x, "g", "x")
-        fx = extractor.features(xa)
-        fg, vjp = extractor.features_and_vjp(ga)
-        # d/dF of (1/f) ||F - fx||^2
-        return (
-            lambda p: _feature_distance(extractor.features(_probe_batch(p, fx)), fx)
-        ), vjp(2.0 * (fg - fx) / fg.size)
-    if loss_id == "style_frob":
-        g, y, extractor = inputs
-        ga, ya = as_f64_pair(g, y, "g", "y")
-        fy = extractor.features(ya)
-        gram_y = gram_matrix(fy)
-        fg, vjp = extractor.features_and_vjp(ga)
-        # d/dF of ||G(F) - gram_y||^2 with G(F) = F F^T / f
-        flat = fg.reshape(fg.shape[0], -1)
-        cotangent = (4.0 / flat.size * ((gram_matrix(fg) - gram_y) @ flat)).reshape(fg.shape)
-        return (
-            lambda p: _style_distance(extractor.features(_probe_batch(p, fy)), gram_y)
-        ), vjp(cotangent)
+        return (lambda p: p), (lambda p: _adv_distance(p, t)), grad_loss_adv_mse(scores, target)
+    if loss_id in ("feature", "style_frob"):
+        g, fixed, extractor = inputs
+        extract, [(_, distance, analytic)] = _extractor_closures(g, extractor, {loss_id: fixed})
+        return extract, distance, analytic
     raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
+
+
+def _grad_checks(
+    base: np.ndarray,
+    extract: Callable,
+    checks: list[tuple[str, Callable, np.ndarray]],
+    seed: int,
+    n_coords: int,
+    h: float,
+    eligible: np.ndarray | None = None,
+    note: str = "",
+) -> list[GradCheckReport]:
+    """One report per (loss_id, distance, analytic) check of the same ``base``.
+
+    Every check probes the same ``n_coords`` coordinates, drawn from
+    ``eligible`` (all of ``base``'s by default) with ``seed``; each stack of
+    ``_PROBE_CHUNK`` probes goes through ``extract`` once and every check
+    takes its values from that one pass.
+    """
+    reports = {}
+    live = []
+    for loss_id, distance, analytic in checks:
+        if np.all(np.isfinite(analytic)):
+            live.append((loss_id, distance, analytic))
+        else:
+            reports[loss_id] = GradCheckReport(
+                loss_id, float("inf"), 0, h, seed, ok=False, note="non-finite analytic gradient"
+            )
+    if eligible is None:
+        eligible = np.arange(base.size)
+    rng = np.random.default_rng(seed)
+    n = min(n_coords, eligible.size)
+    coords = rng.choice(eligible, size=n, replace=False)
+
+    # probe 2j moves coords[j] by +h, probe 2j + 1 moves it by -h
+    moved = np.repeat(coords, 2)
+    steps = np.tile([h, -h], n)
+    values = np.empty((len(live), 2 * n))
+    # no probes when no analytic gradient is finite
+    for start in range(0, 2 * n if live else 0, _PROBE_CHUNK):
+        chunk = slice(start, start + _PROBE_CHUNK)
+        idx = moved[chunk]
+        probes = np.repeat(base.reshape(1, -1), idx.size, axis=0)
+        probes[np.arange(idx.size), idx] += steps[chunk]
+        extracted = extract(probes.reshape((idx.size,) + base.shape))
+        for row, (_, distance, _) in zip(values, live):
+            row[chunk] = distance(extracted)
+        del extracted  # else held while the next stack is extracted (+0.8 MB peak)
+    for row, (loss_id, _, analytic) in zip(values, live):
+        numeric = (row[0::2] - row[1::2]) / (2.0 * h)
+        if not np.all(np.isfinite(numeric)):
+            reports[loss_id] = GradCheckReport(
+                loss_id, float("inf"), n, h, seed, ok=False, note="non-finite probe"
+            )
+            continue
+        exact = analytic.ravel()[coords]
+        denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-8)
+        max_err = float(np.max(np.abs(exact - numeric) / denom, initial=0.0))
+        reports[loss_id] = GradCheckReport(loss_id, max_err, n, h, seed, ok=True, note=note)
+    return [reports[loss_id] for loss_id, _, _ in checks]
+
+
+def _int_arg(value, name: str, least: int) -> int:
+    """``value`` as a plain int, or a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def grad_check(
@@ -474,65 +559,47 @@ def grad_check(
     """Central-difference check of one analytic gradient.
 
     Samples ``n_coords`` >= 1 coordinates of the first input (all of them
-    when the array is smaller), perturbs each by a finite, positive +-h and
+    when the array is smaller) with a generator seeded by ``seed`` >= 0
+    (both integers), perturbs each by a finite, positive +-h and
     reports the max relative error, denominator max(|analytic|, |numeric|, 1e-8).
     Each probe moves exactly one coordinate; the 2 * n probes are
     evaluated as stacks of ``_PROBE_CHUNK``, so a feature loss makes one
-    batched extractor pass per stack.
+    batched extractor pass per stack.  ``run_grad_checks`` runs its
+    feature and style checks through the same probe loop (``_grad_checks``)
+    on one shared set of probes.
     For the L1 loss, coordinates whose difference is within 2h of a tie
     are excluded: the kink there makes finite differences meaningless.
     """
-    if n_coords < 1:
-        raise ValueError(f"n_coords must be at least 1, got {n_coords}")
-    if not 0.0 < h < np.inf:  # NaN fails both comparisons
+    seed = _int_arg(seed, "seed", 0)
+    n_coords = _int_arg(n_coords, "n_coords", 1)
+    if isinstance(h, bool) or not 0.0 < h < np.inf:  # NaN fails both comparisons
         raise ValueError(f"h must be finite and positive, got {h}")
-    value_fn, analytic = _loss_closure(loss_id, inputs)
+    extract, distance, analytic = _loss_closure(loss_id, inputs)
     base = as_f64(inputs[0], "inputs[0]")
-    if not np.all(np.isfinite(analytic)):
-        return GradCheckReport(
-            loss_id, float("inf"), 0, h, seed, ok=False, note="non-finite analytic gradient"
-        )
-
-    eligible = np.arange(base.size)
-    note = ""
-    if loss_id == "l1":
+    eligible, note = None, ""
+    if loss_id == "l1":  # its analytic gradient, a sign over a size, is always finite
         margin = max(1e-7, 2.0 * h)
         diff = np.abs(base.ravel() - as_f64(inputs[1], "inputs[1]").ravel())
-        eligible = eligible[diff > margin]
+        eligible = np.flatnonzero(diff > margin)
         if eligible.size == 0:
             return GradCheckReport(
                 loss_id, float("inf"), 0, h, seed, ok=False, note="all coordinates tied"
             )
         if eligible.size < n_coords:
             note = f"only {eligible.size} coordinates clear of ties"
-
-    rng = np.random.default_rng(seed)
-    n = min(n_coords, eligible.size)
-    coords = rng.choice(eligible, size=n, replace=False)
-
-    # probe 2j moves coords[j] by +h, probe 2j + 1 moves it by -h
-    moved = np.repeat(coords, 2)
-    steps = np.tile([h, -h], n)
-    values = np.empty(2 * n)
-    for start in range(0, 2 * n, _PROBE_CHUNK):
-        chunk = slice(start, start + _PROBE_CHUNK)
-        idx = moved[chunk]
-        probes = np.repeat(base.reshape(1, -1), idx.size, axis=0)
-        probes[np.arange(idx.size), idx] += steps[chunk]
-        values[chunk] = value_fn(probes.reshape((idx.size,) + base.shape))
-    numeric = (values[0::2] - values[1::2]) / (2.0 * h)
-    if not np.all(np.isfinite(numeric)):
-        return GradCheckReport(
-            loss_id, float("inf"), n, h, seed, ok=False, note="non-finite probe"
-        )
-    exact = analytic.ravel()[coords]
-    denom = np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1e-8)
-    max_err = float(np.max(np.abs(exact - numeric) / denom, initial=0.0))
-    return GradCheckReport(loss_id, max_err, n, h, seed, ok=True, note=note)
+    return _grad_checks(base, extract, [(loss_id, distance, analytic)], seed, n_coords, h,
+                        eligible, note)[0]
 
 
 def run_grad_checks(seed: int, image_shape: tuple[int, int] = (14, 14)) -> list[GradCheckReport]:
-    """One report per loss on random inputs derived from ``seed``."""
+    """One report per loss on random inputs derived from ``seed``.
+
+    The L1 and adversarial checks go through ``grad_check``; the feature
+    and style checks share ``g`` and the extractor, so they share one set
+    of probes and one extractor pass per stack of them.  The reports equal
+    those of four ``grad_check`` calls.
+    """
+    seed = _int_arg(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     extractor = FixedFeatureExtractor.from_seed(seed)
     a = rng.normal(0.0, 1.0, size=image_shape)
@@ -541,9 +608,9 @@ def run_grad_checks(seed: int, image_shape: tuple[int, int] = (14, 14)) -> list[
     g = rng.normal(0.0, 1.0, size=image_shape)
     x = rng.normal(0.0, 1.0, size=image_shape)
     y = rng.normal(0.0, 1.0, size=image_shape)
+    extract, checks = _extractor_closures(g, extractor, {"feature": x, "style_frob": y})
     return [
         grad_check("l1", (a, b), seed),
         grad_check("adv_mse", (scores, 1.0), seed),
-        grad_check("feature", (g, x, extractor), seed),
-        grad_check("style_frob", (g, y, extractor), seed),
+        *_grad_checks(g, extract, checks, seed, n_coords=64, h=1e-5),
     ]

@@ -503,6 +503,13 @@ class TestGradcheckCLI:
         printed = capsys.readouterr().out
         assert "max_rel_error" in printed
 
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        # numpy's own message, "expected non-negative integer", named no key
+        out = tmp_path / "grad.json"
+        assert main(["gradcheck", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "error: seed must be at least 0, got -1"
+        assert not out.exists()
+
     def test_error_above_tolerance_exits_1(self, monkeypatch, capsys):
         # a wrong but finite gradient: grad_check still reports ok=True
         grad = kernels.grad_loss_l1

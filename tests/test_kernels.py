@@ -23,6 +23,7 @@ from dcemetrics.kernels import (
     loss_style_frob,
     run_grad_checks,
 )
+from dcemetrics.tensor import TensorND
 from oracles import brute_conv, scalar_convlstm_cell
 
 
@@ -269,6 +270,21 @@ class TestFeatureExtractor:
         f = ex.features(np.random.default_rng(6).normal(size=(3, 9, 9)))
         assert f.shape == (16, 9, 9)
 
+    @pytest.mark.parametrize("wrap", [np.asarray, np.ndarray.tolist, TensorND],
+                             ids=["ndarray", "list", "TensorND"])
+    def test_vjp_of_a_plain_image_has_its_shape(self, wrap):
+        # a TensorND's pullback once kept the lifted channel axis: (1, 6, 6)
+        ex = FixedFeatureExtractor.from_seed(8)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(6, 6))
+        cot = rng.normal(size=(16, 6, 6))
+        feats, vjp = ex.features_and_vjp(wrap(x))
+        want_feats, want_vjp = ex.features_and_vjp(x)
+        npt.assert_array_equal(feats, want_feats)
+        grad = vjp(cot)
+        assert grad.shape == (6, 6)
+        npt.assert_array_equal(grad, want_vjp(cot))
+
 
 class TestGram:
     def test_symmetric_psd(self):
@@ -460,6 +476,27 @@ class TestGradCheck:
         with pytest.raises(ValueError, match=f"^n_coords must be at least 1, got {n_coords}$"):
             grad_check("l1", (a, b), seed=0, n_coords=n_coords)
 
+    @pytest.mark.parametrize("n_coords", [2.5, True, 3.0, "3"])
+    def test_rejects_n_coords_not_an_integer(self, n_coords):
+        # unchecked, 2.5 and True raised numpy's "expected a sequence of
+        # integers or a single integer", naming no argument
+        a, b = np.random.default_rng(42).normal(size=(2, 4, 4))
+        with pytest.raises(ValueError, match=f"^n_coords must be an integer, got {n_coords!r}$"):
+            grad_check("l1", (a, b), seed=0, n_coords=n_coords)
+
+    def test_numpy_integer_n_coords_is_stored_as_int(self):
+        a, b = np.random.default_rng(42).normal(size=(2, 4, 4))
+        report = grad_check("l1", (a, b), seed=0, n_coords=np.int64(3))
+        assert report == grad_check("l1", (a, b), seed=0, n_coords=3)
+        assert type(report.n_coords) is int
+        assert type(report.to_dict()["n_coords"]) is int
+
+    def test_rejects_bool_h(self):
+        # unchecked, True was taken as h = 1.0
+        a, b = np.random.default_rng(42).normal(size=(2, 4, 4))
+        with pytest.raises(ValueError, match="^h must be finite and positive, got True$"):
+            grad_check("l1", (a, b), seed=0, h=True)
+
     @pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan])
     def test_rejects_h_not_finite_and_positive(self, h):
         # unchecked, 0 divided by zero into a "non-finite probe" report and inf
@@ -481,9 +518,55 @@ class TestGradCheck:
             "feature": (loss_feature, (second, ex)),
             "style_frob": (loss_style_frob, (second, ex)),
         }[loss_id]
-        value_fn, _ = kernels._loss_closure(loss_id, (first, *rest))
+        extract, distance, _ = kernels._loss_closure(loss_id, (first, *rest))
         probes = rng.normal(size=(3, 9, 9))
-        assert value_fn(probes).tolist() == [public(p, *rest) for p in probes]
+        assert distance(extract(probes)).tolist() == [public(p, *rest) for p in probes]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_run_grad_checks_equals_separate_checks(self, seed):
+        # the feature and style checks share their probes; each report must
+        # still equal the one its own grad_check call gives, bit for bit
+        rng = np.random.default_rng(seed)
+        extractor = FixedFeatureExtractor.from_seed(seed)
+        a, b = rng.normal(0.0, 1.0, size=(2, 14, 14))
+        scores = rng.normal(0.5, 0.3, size=(128,))
+        g, x, y = rng.normal(0.0, 1.0, size=(3, 14, 14))
+        separate = [
+            grad_check("l1", (a, b), seed),
+            grad_check("adv_mse", (scores, 1.0), seed),
+            grad_check("feature", (g, x, extractor), seed),
+            grad_check("style_frob", (g, y, extractor), seed),
+        ]
+        assert [r.to_dict() for r in run_grad_checks(seed)] == [r.to_dict() for r in separate]
+
+    def test_run_grad_checks_makes_one_extractor_pass_per_probe_stack(self, monkeypatch):
+        calls = {"features": 0, "conv": 0}
+        features, conv = FixedFeatureExtractor.features, kernels.conv
+
+        def counting_features(self, image):
+            calls["features"] += 1
+            return features(self, image)
+
+        def counting_conv(*args, **kwargs):
+            calls["conv"] += 1
+            return conv(*args, **kwargs)
+
+        monkeypatch.setattr(FixedFeatureExtractor, "features", counting_features)
+        monkeypatch.setattr(kernels, "conv", counting_conv)
+        run_grad_checks(0)
+        # x and y once each plus 4 stacks of 32 probes, 3 convs per pass; g
+        # once forward and once back per loss; separate checks made 10 and 42
+        assert calls["features"] <= 6
+        assert calls["conv"] <= 27
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_bad_seed(self, seed):
+        # unchecked, -1 raised numpy's "expected non-negative integer"
+        a, b = np.random.default_rng(42).normal(size=(2, 4, 4))
+        with pytest.raises(ValueError, match="^seed must be "):
+            grad_check("l1", (a, b), seed=seed)
+        with pytest.raises(ValueError, match="^seed must be "):
+            run_grad_checks(seed)
 
     def test_report_serializes(self):
         rng = np.random.default_rng(37)
