@@ -68,9 +68,9 @@ def _provenance(args, seed=None) -> dict:
 
 def _load_sequence(path) -> VolumeSequence:
     t = read_tensor(path)
-    if t.ndim not in (3, 4):
+    if t.data.ndim not in (3, 4):
         raise ValueError(
-            f"sequence tensor must be (T, Y, X) or (T, Z, Y, X), got rank {t.ndim}"
+            f"sequence tensor must be (T, Y, X) or (T, Z, Y, X), got rank {t.data.ndim}"
         )
     return VolumeSequence(t, spacing_mm=t.spacing_mm)
 
@@ -283,10 +283,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except TensorFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (TensorFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -6,6 +6,9 @@ tag and optional voxel spacing.  Reports, also the CLI's phantom truth and
 gradcheck files, are JSON; their canonical byte form excludes the
 ``generated_at`` timestamp so identical runs compare byte for byte.  Every
 JSON file, sidecars included, goes through ``write_report`` and ``_read_json``.
+Each input has one checker: a payload is scanned for finiteness once, by
+the ``TensorND`` it becomes, an array written once, by ``as_f64``, and a
+report entry is read only by ``MetricReport.from_dict``.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .metrics import DIRECTIONS, METRIC_FIELDS, MetricReport
-from .tensor import TensorND, check_spacing
+from .tensor import TensorND, _is_int, as_f64, check_spacing
 
 F32_MAX = float(np.finfo(np.float32).max)
 
@@ -51,14 +53,13 @@ def write_tensor(
     optional provenance dict is embedded in the sidecar verbatim.
     """
     if isinstance(tensor, TensorND):
-        data = tensor.data
         if axis_order is None and tensor.axis_labels is not None:
             axis_order = "".join(tensor.axis_labels)
-    else:
-        data = np.asarray(tensor, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
-        bad = int(np.flatnonzero(~np.isfinite(data.ravel()))[0])
-        raise TensorFileError(f"refusing to write non-finite value at flat offset {bad}")
+        tensor = tensor.data  # scanned again: ``.data`` may have been edited
+    try:
+        data = as_f64(tensor, "tensor")
+    except ValueError as e:
+        raise TensorFileError(f"refusing to write: {e}")
     if np.abs(data).max(initial=0.0) > F32_MAX:
         raise TensorFileError("values exceed float32 range; rescale before writing")
     if axis_order is None:
@@ -93,7 +94,7 @@ def read_header(path) -> dict:
     if header["dtype"] != "f32":
         raise TensorFileError(f"unsupported dtype {header['dtype']!r}")
     dims, order = header["dims"], header["axis_order"]
-    if not (isinstance(dims, list) and all(type(n) is int and n >= 0 for n in dims)):
+    if not (isinstance(dims, list) and all(_is_int(n) and n >= 0 for n in dims)):
         raise TensorFileError(f"sidecar dims must be non-negative integers, got {dims!r}")
     if not (isinstance(order, str) and len(order) == len(dims)):
         raise TensorFileError(
@@ -126,10 +127,10 @@ def read_tensor(path) -> TensorND:
             f"file has {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise TensorFileError(f"payload contains a non-finite value at flat offset {int(bad[0])}")
-    return TensorND(flat.reshape(dims), tuple(header["axis_order"]), header.get("spacing_mm"))
+    try:  # read_header checked the labels and spacing, so only the one finiteness scan fails
+        return TensorND(flat.reshape(dims), tuple(header["axis_order"]), header.get("spacing_mm"))
+    except ValueError as e:
+        raise TensorFileError(f"payload {path}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,46 +207,23 @@ def write_report(path, report: dict) -> None:
         fh.write(text + "\n")
 
 
-def _bad_entry_key(entry: dict) -> str | None:
-    """The first key of a report entry that is missing or holds no valid value, else None."""
-    infinite = entry.get("psnr_infinite", False)
-    if not isinstance(infinite, bool):
-        return "psnr_infinite"
-    for name in METRIC_FIELDS:
-        value = entry.get(name)
-        if name == "psnr_style_vs_gen" and infinite:
-            ok = name in entry and value is None  # null stands for +inf
-        else:  # NaN fails the comparison, an int beyond float64 the bound
-            ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        if not ok:
-            return name
-    if entry.get("direction", "nce_to_ce") not in DIRECTIONS:
-        return "direction"
-    notes = entry.get("notes", [])
-    if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
-        return "notes"
-    return None
-
-
 def read_report(path) -> dict:
-    """A report whose entries ``MetricReport.from_dict`` reads as written; any
-    other entry raises ``TensorFileError`` naming the file, the entry and the key."""
+    """A report whose entries ``MetricReport.from_dict`` reads; any other
+    entry raises ``TensorFileError`` naming the file, the entry and the key."""
     report = _read_json(path, "report")
     entries = report.get("entries")
     if not isinstance(entries, list):
         raise TensorFileError(f"report {path} needs an entries list, got {entries!r}")
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise TensorFileError(f"report {path} entry {i} must be a JSON object, got {entry!r}")
-        key = _bad_entry_key(entry)
-        if key is not None:
-            got = f"got {entry[key]!r}" if key in entry else "it is missing"
-            raise TensorFileError(f"report {path} entry {i} needs a valid {key!r}; {got}")
+        try:
+            MetricReport.from_dict(entry)
+        except ValueError as e:
+            raise TensorFileError(f"report {path} entry {i} {e}")
     return report
 
 
 def merge_reports(reports: list[dict]) -> dict:
-    """Pool entries from several reports and recompute the aggregates."""
+    """Pool entries (each read by ``MetricReport.from_dict``) and recompute the aggregates."""
     entries = []
     sources = []
     for rep in reports:

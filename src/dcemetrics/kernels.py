@@ -35,14 +35,13 @@ extractor as (spatial...) and are lifted to a single channel.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .tensor import as_f64, as_f64_pair, conv
+from .tensor import _is_int, as_f64, as_f64_pair, conv
 
 LOSS_IDS = ("l1", "adv_mse", "feature", "style_frob")
 # spatial kernel of every seeded or zero-weight constructor
@@ -51,10 +50,12 @@ _KERNEL = (3, 3)
 _N_FRAMES = 5
 
 
-def _check_feature_map(x: np.ndarray, name: str) -> np.ndarray:
-    if x.ndim < 2:
-        raise ValueError(f"{name} must be shaped (C, spatial...), got {x.shape}")
-    return x
+def _feature_map(x, name: str) -> np.ndarray:
+    """``as_f64(x, name)``, which must be shaped (C, spatial...)."""
+    f = as_f64(x, name)
+    if f.ndim < 2:
+        raise ValueError(f"{name} must be shaped (C, spatial...), got {f.shape}")
+    return f
 
 
 def _spatial_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -82,8 +83,8 @@ def adain(content, style, eps: float = 1e-5) -> np.ndarray:
     + eps) + mu_style``.  Spatial shapes of the two maps may differ; only
     the channel counts must agree.
     """
-    c = _check_feature_map(as_f64(content, "content"), "content")
-    s = _check_feature_map(as_f64(style, "style"), "style")
+    c = _feature_map(content, "content")
+    s = _feature_map(style, "style")
     if c.shape[0] != s.shape[0]:
         raise ValueError(
             f"channel mismatch: content has {c.shape[0]}, style has {s.shape[0]}"
@@ -170,7 +171,7 @@ def convlstm_cell(x, state: ConvLSTMState, weights: ConvLSTMWeights) -> ConvLSTM
 
     c' = f*c + i*g and h' = o*tanh(c'), zero padding at the borders.
     """
-    xa = _check_feature_map(as_f64(x, "x"), "x")
+    xa = _feature_map(x, "x")
     if xa.shape[0] != weights.in_channels:
         raise ValueError(
             f"input has {xa.shape[0]} channels, weights expect {weights.in_channels}"
@@ -205,7 +206,7 @@ def bidirectional_convlstm(
     channel axis.  Concatenation rather than summation is an assumption;
     the two-direction recurrence itself is standard.
     """
-    frames = [_check_feature_map(as_f64(f, f"frame {i}"), f"frame {i}") for i, f in enumerate(seq)]
+    frames = [_feature_map(f, f"frame {i}") for i, f in enumerate(seq)]
     if len(frames) != _N_FRAMES:
         raise ValueError(f"expected exactly {_N_FRAMES} frames, got {len(frames)}")
     shape = frames[0].shape
@@ -318,7 +319,7 @@ def gram_matrix(features) -> np.ndarray:
 
     G[a, b] = sum_s F_a(s) F_b(s) / (channels * positions).
     """
-    f = _check_feature_map(as_f64(features, "features"), "features")
+    f = _feature_map(features, "features")
     return _grams(f[np.newaxis])[0]
 
 
@@ -542,7 +543,7 @@ def _grad_checks(
 
 def _int_arg(value, name: str, least: int) -> int:
     """``value`` as a plain int, or a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -591,8 +592,8 @@ def grad_check(
                         eligible, note)[0]
 
 
-def run_grad_checks(seed: int, image_shape: tuple[int, int] = (14, 14)) -> list[GradCheckReport]:
-    """One report per loss on random inputs derived from ``seed``.
+def run_grad_checks(seed: int) -> list[GradCheckReport]:
+    """One report per loss on random 14x14 inputs derived from ``seed``.
 
     The L1 and adversarial checks go through ``grad_check``; the feature
     and style checks share ``g`` and the extractor, so they share one set
@@ -602,12 +603,13 @@ def run_grad_checks(seed: int, image_shape: tuple[int, int] = (14, 14)) -> list[
     seed = _int_arg(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     extractor = FixedFeatureExtractor.from_seed(seed)
-    a = rng.normal(0.0, 1.0, size=image_shape)
-    b = rng.normal(0.0, 1.0, size=image_shape)
+    shape = (14, 14)
+    a = rng.normal(0.0, 1.0, size=shape)
+    b = rng.normal(0.0, 1.0, size=shape)
     scores = rng.normal(0.5, 0.3, size=(128,))
-    g = rng.normal(0.0, 1.0, size=image_shape)
-    x = rng.normal(0.0, 1.0, size=image_shape)
-    y = rng.normal(0.0, 1.0, size=image_shape)
+    g = rng.normal(0.0, 1.0, size=shape)
+    x = rng.normal(0.0, 1.0, size=shape)
+    y = rng.normal(0.0, 1.0, size=shape)
     extract, checks = _extractor_closures(g, extractor, {"feature": x, "style_frob": y})
     return [
         grad_check("l1", (a, b), seed),

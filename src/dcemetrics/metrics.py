@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor
-from .tensor import (WINDOW_SIZE, VolumeSequence, Workspace, as_f64, as_f64_pair,
+from .tensor import (WINDOW_SIZE, VolumeSequence, Workspace, _is_real, as_f64, as_f64_pair,
                      check_spacing, window_sizes, windowed_moments)
 
 logger = logging.getLogger(__name__)
@@ -154,12 +155,36 @@ class MetricReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricReport":
-        scores = dict(d, psnr_style_vs_gen=math.inf) if d.get("psnr_infinite") else d
-        return cls(
-            **{name: float(scores[name]) for name in METRIC_FIELDS},
-            direction=d.get("direction", "nce_to_ce"),
-            notes=list(d.get("notes", [])),
-        )
+        """The report in an entry as ``to_dict`` writes it: five finite scores
+        (a null PSNR with ``psnr_infinite``), and optionally a known direction
+        and a list of string notes.  Any other entry raises ``ValueError``
+        naming its first bad key, worded to follow "entry <index>"."""
+        if not isinstance(d, dict):
+            raise ValueError(f"must be a JSON object, got {d!r}")
+
+        def bad(key):
+            got = f"got {d[key]!r}" if key in d else "it is missing"
+            return ValueError(f"needs a valid {key!r}; {got}")
+
+        infinite = d.get("psnr_infinite", False)
+        if not isinstance(infinite, bool):
+            raise bad("psnr_infinite")
+        scores = {}
+        for name in METRIC_FIELDS:
+            value = d.get(name)
+            if name == "psnr_style_vs_gen" and infinite:
+                ok, value = name in d and value is None, math.inf  # null stands for +inf
+            else:  # NaN fails the comparison, an int beyond float64 the bound
+                ok = _is_real(value) and abs(value) <= sys.float_info.max
+            if not ok:
+                raise bad(name)
+            scores[name] = float(value)
+        direction, notes = d.get("direction", "nce_to_ce"), d.get("notes", [])
+        if direction not in DIRECTIONS:
+            raise bad("direction")
+        if not (isinstance(notes, list) and all(isinstance(n, str) for n in notes)):
+            raise bad("notes")
+        return cls(**scores, direction=direction, notes=list(notes))
 
 
 @dataclass

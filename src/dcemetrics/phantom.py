@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from .metrics import CEMask
-from .tensor import VolumeSequence, _is_real, _is_vector, check_spacing
+from .tensor import VolumeSequence, _is_int, _is_real, _is_vector, check_spacing
 
 
 def _store(obj, name: str, ok, cast, kind: str) -> None:
@@ -27,10 +27,6 @@ def _store(obj, name: str, ok, cast, kind: str) -> None:
         except OverflowError:  # an integer beyond float64
             pass
     raise ValueError(f"{name} must be {kind}, got {value!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _store_floats(obj, scalars=(), vectors=()) -> None:

@@ -119,6 +119,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_vector(value, entry_ok) -> bool:
     """A list, tuple or 1-D array (never a string) whose entries all pass ``entry_ok``."""
     if isinstance(value, np.ndarray) and value.ndim != 1:
@@ -169,18 +174,6 @@ class TensorND:
         if self.spacing_mm is not None:
             n_spatial = arr.ndim - (self.axis_labels or ()).count("T")
             self.spacing_mm = check_spacing(self.spacing_mm, n_spatial, "spacing_mm")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
 
 @dataclass

@@ -158,6 +158,22 @@ class TestCEMask:
         rc = main(["cemask", "--seq", str(tmp_path / "gone.raw"), "--out", str(tmp_path / "m.raw")])
         assert rc == 2
 
+    def test_out_into_missing_directory_exits_2(self, tmp_path, phantom_spec_file, capsys):
+        out_dir = _gen_phantom(tmp_path, phantom_spec_file[0])
+        mask_path = tmp_path / "absent" / "mask.raw"
+        assert main(["cemask", "--seq", str(out_dir / "sequence.raw"),
+                     "--out", str(mask_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_rank_2_sequence_exits_1(self, tmp_path, capsys):
+        seq = tmp_path / "seq.raw"
+        write_tensor(seq, np.zeros((4, 4)))
+        mask_path = tmp_path / "mask.raw"
+        assert main(["cemask", "--seq", str(seq), "--out", str(mask_path)]) == 1
+        assert ("error: sequence tensor must be (T, Y, X) or (T, Z, Y, X), got rank 2"
+                in capsys.readouterr().err)
+        assert not mask_path.exists()
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_exits_1(self, tmp_path, phantom_spec_file, capsys, threshold):
         out_dir = _gen_phantom(tmp_path, phantom_spec_file[0])
@@ -244,6 +260,28 @@ class TestDistMap:
         assert main(["distmap", "--mask", str(mpath), "--out", str(wpath)]) == 2
         assert "sidecar" in capsys.readouterr().err
         assert not wpath.exists() and not (tmp_path / "w.raw.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("dims"), "sidecar missing required field 'dims'"),
+    (lambda h: h.pop("axis_order"), "sidecar missing required field 'axis_order'"),
+    (lambda h: h.pop("dtype"), "sidecar missing required field 'dtype'"),
+    (lambda h: h.update(dtype="f64"), "unsupported dtype 'f64'"),
+    (None, "missing payload"),
+], ids=["no-dims", "no-axis-order", "no-dtype", "f64-dtype", "no-payload"])
+def test_bad_tensor_file_exits_2_without_output(tmp_path, capsys, edit, message):
+    mpath = tmp_path / "mask.raw"
+    write_tensor(mpath, np.eye(4))
+    if edit is None:
+        mpath.unlink()
+    else:
+        header = read_header(mpath)
+        edit(header)
+        (tmp_path / "mask.raw.json").write_text(json.dumps(header))
+    wpath = tmp_path / "w.raw"
+    assert main(["distmap", "--mask", str(mpath), "--out", str(wpath)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not wpath.exists()
 
 
 @pytest.mark.parametrize("spacing, message", [
@@ -451,8 +489,7 @@ class TestMetrics:
         assert not out.exists()
 
     def test_finiteness_scans_per_run(self, tmp_path, phantom_spec_file, monkeypatch):
-        # each of the four files twice (the payload, then the TensorND it
-        # becomes), plus psnr's two and each cw_ssim's three
+        # each of the four files once
         paths = self._setup(tmp_path, phantom_spec_file[1], noise=2.0)
         argv = ["metrics", "--out", str(tmp_path / "r.json")]
         for name in ("generated", "content", "style", "seq"):
@@ -462,7 +499,7 @@ class TestMetrics:
         monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a))
                             or isfinite(a, *args, **kw))
         assert main(argv) == 0
-        assert sum(n > 1 for n in sizes) <= 4 * 2 + 2 + 2 * 3
+        assert sum(n > 1 for n in sizes) <= 4
 
     def test_bad_peak_flag(self, tmp_path, phantom_spec_file):
         _, spec = phantom_spec_file

@@ -113,6 +113,28 @@ class TestTensorRoundTrip:
         with pytest.raises(TensorFileError, match="offset 3"):
             read_tensor(p)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("dims"), "sidecar missing required field 'dims'"),
+        (lambda h: h.pop("axis_order"), "sidecar missing required field 'axis_order'"),
+        (lambda h: h.pop("dtype"), "sidecar missing required field 'dtype'"),
+        (lambda h: h.update(dtype="f64"), "unsupported dtype 'f64'"),
+    ], ids=["no-dims", "no-axis-order", "no-dtype", "f64-dtype"])
+    def test_malformed_sidecar_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "t.raw"
+        write_tensor(p, np.zeros((2, 3)))
+        header = json.loads((tmp_path / "t.raw.json").read_text())
+        edit(header)
+        (tmp_path / "t.raw.json").write_text(json.dumps(header))
+        with pytest.raises(TensorFileError, match=f"^{message}$"):
+            read_tensor(p)
+
+    def test_missing_payload(self, tmp_path):
+        p = tmp_path / "t.raw"
+        write_tensor(p, np.zeros((2, 3)))
+        p.unlink()
+        with pytest.raises(TensorFileError, match="^missing payload "):
+            read_tensor(p)
+
     def test_missing_sidecar(self, tmp_path):
         p = tmp_path / "naked.raw"
         p.write_bytes(b"\x00" * 16)
@@ -126,6 +148,15 @@ class TestTensorRoundTrip:
     def test_non_finite_write_rejected(self, tmp_path):
         with pytest.raises(TensorFileError, match="offset 1"):
             write_tensor(tmp_path / "inf.raw", np.array([0.0, np.inf]))
+
+    def test_edited_tensornd_rescanned_on_write(self, tmp_path):
+        # a TensorND is scanned when built; its .data can change after that
+        t = TensorND(np.zeros(4))
+        t.data[2] = np.nan
+        p = tmp_path / "nan.raw"
+        with pytest.raises(TensorFileError, match="offset 2"):
+            write_tensor(p, t)
+        assert not p.exists() and not (tmp_path / "nan.raw.json").exists()
 
     def test_axis_order_length_checked(self, tmp_path):
         with pytest.raises(TensorFileError, match="axis_order"):
@@ -342,6 +373,23 @@ class TestReports:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(report))
         with pytest.raises(TensorFileError, match=f"^report {p} entry 2 needs a valid '{key}'"):
+            read_report(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ssim_content_vs_gen", "31.5"),
+        ("ssim_content_vs_gen", True),
+        ("direction", "sideways"),
+        ("notes", "ab"),
+    ], ids=["string-score", "bool-score", "unknown-direction", "string-notes"])
+    def test_merge_refuses_what_read_report_refuses(self, tmp_path, key, value):
+        # merge_reports took these and left the entry out of every aggregate
+        report = make_report([_entry(0), _entry(1)], {})
+        report["entries"][1][key] = value
+        with pytest.raises(ValueError, match=f"^needs a valid '{key}'; got {value!r}$"):
+            merge_reports([report])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(report))
+        with pytest.raises(TensorFileError, match=f"^report {p} entry 1 needs a valid '{key}'; "):
             read_report(p)
 
     def test_read_report_keeps_optional_keys_optional(self, tmp_path):

@@ -505,6 +505,28 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="^h must be finite and positive, got "):
             grad_check("l1", (a, b), seed=0, h=h)
 
+    def test_non_finite_analytic_gradient_is_reported(self):
+        # 2 * (1e308 - 1) overflows before the division by the score count
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = grad_check("adv_mse", (np.full(4, 1e308), 1.0), seed=0)
+        assert (report.ok, report.n_coords, report.max_rel_error) == (False, 0, math.inf)
+        assert report.note == "non-finite analytic gradient"
+
+    def test_non_finite_probe_is_reported(self):
+        # the gradient is finite, but the squared scores overflow the loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = grad_check("adv_mse", (np.full(4, 1.5e154), 1.0), seed=0)
+        assert (report.ok, report.n_coords, report.max_rel_error) == (False, 4, math.inf)
+        assert report.note == "non-finite probe"
+
+    def test_l1_notes_too_few_coordinates_clear_of_ties(self):
+        a = np.zeros((8, 8))
+        b = a.copy()
+        b.ravel()[[3, 17, 40]] = 1.0
+        report = grad_check("l1", (a, b), seed=0)
+        assert report.ok and report.n_coords == 3
+        assert report.note == "only 3 coordinates clear of ties"
+
     @pytest.mark.parametrize("loss_id", kernels.LOSS_IDS)
     def test_value_fn_is_the_public_loss(self, loss_id):
         # the check must probe the public loss itself, not a second copy of

@@ -213,6 +213,10 @@ class TestDistanceTransform:
         with pytest.raises(ValueError, match="at least one axis"):
             distance_transform(np.array(True))
 
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValueError, match="^mask must be non-empty$"):
+            distance_transform(np.zeros((0, 4), dtype=bool))
+
     @settings(derandomize=True, deadline=None)
     @given(mask=_masks)
     def test_property_matches_brute_force(self, mask):
@@ -286,6 +290,10 @@ class TestDistanceMap:
             dm = distance_map(np.zeros((4, 4), dtype=bool))
         npt.assert_array_equal(dm.weights, np.ones((4, 4)))
         assert any("uniform" in r.message for r in caplog.records)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown spacing mode 'pixel'$"):
+            distance_map(np.eye(3, dtype=bool), mode="pixel")
 
     def test_1d_normalization_endpoints(self):
         dm = distance_map(np.array([True, False, False]))
@@ -400,3 +408,7 @@ class TestDice:
         a = np.array([True, False])
         b = np.array([False, True])
         assert dice(a, b) == 0.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(2,\) vs \(3,\)$"):
+            dice(np.ones(2, dtype=bool), np.ones(3, dtype=bool))

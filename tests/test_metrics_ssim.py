@@ -296,6 +296,18 @@ class TestCWSSIM:
         with pytest.warns(WeightingModeWarning):
             cw_ssim(x, y, inv, SSIMParams(data_range=255.0), mode="content")
 
+    def test_map_of_another_shape_rejected(self):
+        x, y, _ = self._triple(9)
+        dm = distance_map(np.eye(20, dtype=bool))
+        with pytest.raises(ValueError, match=r"^distance map \(20, 20\) does not match images "
+                                             r"\(24, 24\)$"):
+            cw_ssim(x, y, dm)
+
+    def test_unknown_mode_rejected(self):
+        x, y, dm = self._triple(10)
+        with pytest.raises(ValueError, match="^unknown mode 'both', expected 'content' or "):
+            cw_ssim(x, y, dm, mode="both")
+
     def test_auto_range_from_unweighted_image(self):
         x, y, dm = self._triple(8)
         got = cw_ssim(x, y, dm)
@@ -364,6 +376,19 @@ class TestEvaluateTriple:
         style = frames[-1] + rng.normal(0, 2.0, shape)
         generated = frames[-1] + rng.normal(0, 2.0, shape)
         return seq, generated, content, style
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g, c, s, seq, p: (g[:-1], c, s, seq, p),
+         r"^triple shapes differ: generated \(23, 24\), content \(24, 24\), style \(24, 24\)$"),
+        (lambda g, c, s, seq, p: (g, c, s, VolumeSequence(seq.frames[:, :-1]), p),
+         r"^mask sequence spatial shape \(23, 24\) does not match images \(24, 24\)$"),
+        (lambda g, c, s, seq, p: (g, c, s, seq, EvalParams(direction="sideways")),
+         r"^direction must be one of \('nce_to_ce', 'ce_to_nce'\)$"),
+    ], ids=["triple-shapes", "mask-sequence-shape", "unknown-direction"])
+    def test_bad_arguments_rejected(self, edit, message):
+        seq, g, c, s = self._sequence_and_triple(59)
+        with pytest.raises(ValueError, match=message):
+            evaluate_triple(*edit(g, c, s, seq, EvalParams()))
 
     def test_report_fields_populated(self):
         seq, g, c, s = self._sequence_and_triple(60)
