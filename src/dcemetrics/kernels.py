@@ -13,7 +13,7 @@ loops and finite differences:
 * ``FixedFeatureExtractor`` is a frozen random convolutional network
   standing in for a pretrained perceptual backbone.  Its nonlinearity is
   tanh so every loss routed through it is smooth and finite-difference
-  checks are valid everywhere.
+  checks are valid everywhere.  It checks its layers when it is built.
 * the loss family (``loss_l1``, ``loss_adv_mse``, ``loss_feature``,
   ``loss_style_frob``) and ``grad_check``, a central-difference harness
   over randomly sampled coordinates.  Each loss's value has one batched
@@ -24,8 +24,12 @@ loops and finite differences:
   ``_grad_checks``, serves ``grad_check`` (one loss) and
   ``run_grad_checks``, whose feature and style checks share ``g``: they
   run ``features_and_vjp(g)`` once, apply its pullback to each loss's
-  cotangent and take their distances from one extractor pass per stack
-  of probes.
+  cotangent and take their distances from one evaluation per stack of
+  probes.  A probe moves one coordinate, so the extractor's
+  ``probe_evaluator`` recomputes each layer only on the window the move
+  reaches, from ``g``'s own activations, and writes it into copies of
+  ``g``'s features: the features, and so the reports, equal those of a
+  full pass over each stack of probes bit for bit.
 
 The paper's convolution with kernels predicted from a style code is not
 kept; every convolution is ``tensor.conv``, zero-padded and size-preserving.
@@ -233,18 +237,88 @@ def bidirectional_convlstm(
 # fixed perceptual extractor
 
 
+def _activation(z: np.ndarray, bias: np.ndarray, n_sp: int) -> np.ndarray:
+    """A layer's tanh(z + bias), in place in its pre-activations ``z`` (..., C, spatial...)."""
+    z += bias.reshape((-1,) + (1,) * n_sp)
+    return np.tanh(z, out=z)
+
+
+def _boxes(radius: np.ndarray, spatial: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Shape and starts (positions, n_sp) of the box reaching ``radius`` from each position.
+
+    Row i of the starts belongs to flat image position i.  Each box is
+    shifted inside the image, and spans the whole axis where the image is
+    narrower.
+    """
+    size = np.minimum(2 * radius + 1, spatial)
+    at = np.indices(spatial).reshape(len(spatial), -1).T
+    return tuple(size), np.clip(at - radius, 0, spatial - size)
+
+
+def _windows(x: np.ndarray, size: tuple[int, ...]) -> np.ndarray:
+    """Writeable view (B, C, starts..., *size) of every ``size`` box of ``x`` (B, C, spatial...).
+
+    ``x`` must be C-contiguous; the view is built on its buffer.  Views
+    from ``as_strided`` left a 0.9 MB block live after about 200 kernels
+    workload ops (tracemalloc), which raised the run's peak RSS by 2 MB.
+    """
+    starts = tuple(n - w + 1 for n, w in zip(x.shape[2:], size))
+    return np.ndarray(x.shape[:2] + starts + size, x.dtype, x, strides=x.strides + x.strides[2:])
+
+
 @dataclass(frozen=True)
 class FixedFeatureExtractor:
-    """Frozen three-layer tanh conv net used as the perceptual map P.
+    """Frozen tanh conv net used as the perceptual map P.
 
-    Channels run 1 -> 8 -> 16 -> 16 with 3x3 kernels and zero 'same'
-    padding.  Weights are drawn once from the seed and never updated.
+    ``from_seed`` builds the paper's stand-in: channels 1 -> 8 -> 16 -> 16
+    with 3x3 kernels.  Any chain of layers may be given: kernels shaped
+    (C_out, C_in, odd sizes...) of one spatial rank, each taking the
+    previous one's channels, and biases shaped (C_out,).  Every layer is
+    zero 'same' padded and weights are never updated.
     ``features_and_vjp`` exposes the exact adjoint so losses routed
-    through P have analytic input gradients.
+    through P have analytic input gradients; ``probe_evaluator`` gives the
+    features of one-coordinate moves of an image from that image's own
+    activations.
     """
 
     kernels: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        kernels, biases = tuple(self.kernels), tuple(self.biases)
+        if not kernels:
+            raise ValueError("an extractor needs at least one layer, got no kernels")
+        if len(kernels) != len(biases):
+            raise ValueError(
+                f"{len(kernels)} kernels but {len(biases)} biases; layer "
+                f"{min(len(kernels), len(biases))} lacks its "
+                f"{'bias' if len(kernels) > len(biases) else 'kernel'}"
+            )
+        checked = []
+        for i, (kernel, bias) in enumerate(zip(kernels, biases)):
+            k = as_f64(kernel, f"layer {i} kernel")
+            b = as_f64(bias, f"layer {i} bias")
+            if k.ndim < 3 or 0 in k.shape[:2] or any(s % 2 == 0 for s in k.shape[2:]):
+                raise ValueError(
+                    f"layer {i} kernel must be shaped (C_out, C_in, odd sizes...), got {k.shape}"
+                )
+            if checked:
+                prev = checked[-1][0]
+                if k.ndim != prev.ndim:
+                    raise ValueError(
+                        f"layer {i} kernel has {k.ndim - 2} spatial axes, "
+                        f"layer {i - 1} has {prev.ndim - 2}"
+                    )
+                if k.shape[1] != prev.shape[0]:
+                    raise ValueError(
+                        f"layer {i} kernel takes {k.shape[1]} channels, "
+                        f"layer {i - 1} gives {prev.shape[0]}"
+                    )
+            if b.shape != (k.shape[0],):
+                raise ValueError(f"layer {i} bias must be shaped ({k.shape[0]},), got {b.shape}")
+            checked.append((k, b))
+        object.__setattr__(self, "kernels", tuple(k for k, _ in checked))
+        object.__setattr__(self, "biases", tuple(b for _, b in checked))
 
     @classmethod
     def from_seed(
@@ -278,24 +352,27 @@ class FixedFeatureExtractor:
             raise ValueError("plain images require a single-channel extractor")
         return x[np.newaxis], True
 
+    def _forward(self, a: np.ndarray) -> list[np.ndarray]:
+        """The lifted input ``a`` and every layer's activations of it."""
+        activations = [a]
+        for k, b in zip(self.kernels, self.biases):
+            activations.append(_activation(conv(activations[-1], k), b, k.ndim - 2))
+        return activations
+
     def features(self, image) -> np.ndarray:
         """Feature map (C_last, spatial...) for an image (spatial...) or (C, spatial...).
 
         A batch (B, C, spatial...) gives (B, C_last, spatial...), each layer
-        running the whole batch through one convolution; gradient checks
-        pass their probes this way.
+        running the whole batch through one convolution.  Gradient checks
+        extract their fixed sides this way; their probes go through
+        ``probe_evaluator``.
         """
         return self.features_and_vjp(image)[0]
 
     def features_and_vjp(self, image):
         """Features plus a pullback mapping d(loss)/d(features) to d(loss)/d(image)."""
         a, plain = self._lift(image)
-        activations = [a]
-        for k, b in zip(self.kernels, self.biases):
-            z = conv(a, k)
-            z += b.reshape((-1,) + (1,) * (k.ndim - 2))
-            a = np.tanh(z, out=z)
-            activations.append(a)
+        activations = self._forward(a)
 
         def vjp(cotangent: np.ndarray) -> np.ndarray:
             grad = np.asarray(cotangent, dtype=np.float64)
@@ -312,6 +389,63 @@ class FixedFeatureExtractor:
             return grad[0] if plain else grad
 
         return activations[-1], vjp
+
+    def probe_evaluator(self, image) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``probe(moved, steps)``: features (B, C_last, spatial...) of B one-coordinate moves.
+
+        Probe i is ``image`` (spatial...) or (C, spatial...) with its flat
+        coordinate ``moved[i]`` moved by ``steps[i]``.  The move reaches
+        only a window of each layer's output, whose radius on each axis is
+        the sum of the kernels' half-widths so far.  ``probe`` runs each
+        layer through ``conv`` on one patch per probe, that window plus a
+        halo of the kernel's half-widths, clipped to and shifted inside the
+        image so its edges keep conv's zero padding, and writes the last
+        windows into copies of ``image``'s features.  ``conv`` computes an
+        output the same way whatever the extent around it, so the result
+        equals ``features`` of the stack of probes bit for bit.
+        ``image``'s activations are computed once, here.
+        """
+        a, _ = self._lift(image)
+        n_sp = self.kernels[0].ndim - 2
+        if a.ndim != n_sp + 1:
+            raise ValueError(f"probe_evaluator takes one image, got a batch {a.shape}")
+        activations = self._forward(a)
+        spatial = np.array(a.shape[1:])
+        positions = np.indices(spatial).reshape(n_sp, -1).T
+        # per layer: its weights, its input's activations, and the boxes of
+        # its patches and of the window its output moves in; a patch reaches
+        # that window plus a halo of the kernel's half-widths
+        layers = []
+        radius = np.zeros(n_sp, dtype=int)
+        for k, b, act in zip(self.kernels, self.biases, activations):
+            half = np.array(k.shape[2:]) // 2
+            patches = _boxes(radius + 2 * half, spatial)
+            radius = radius + half
+            layers.append((k, b, act[np.newaxis], patches, _boxes(radius, spatial)))
+
+        def probe(moved, steps):
+            n = np.size(moved)
+            channel, at = np.divmod(np.asarray(moved), spatial.prod())
+            probe_of = (np.arange(n), slice(None))
+            every = (np.zeros(n, dtype=int), slice(None))  # each probe's patch of act
+            features = np.repeat(activations[-1][np.newaxis], n, axis=0)
+            window = None
+            for k, b, act, (size, starts), (window_size, window_starts) in layers:
+                start = starts[at]
+                patch = _windows(act, size)[every + tuple(start.T)]
+                if window is None:  # the input moves at one position of one channel
+                    patch[(np.arange(n), channel) + tuple((positions[at] - start).T)] += steps
+                else:
+                    _windows(patch, moved_size)[probe_of + tuple((moved_start - start).T)] = window
+                # the box of the window this layer's output moves in
+                moved_size, moved_start = window_size, window_starts[at]
+                z = conv(patch, k)
+                window = _windows(z, moved_size)[probe_of + tuple((moved_start - start).T)]
+                window = _activation(window, b, n_sp)
+            _windows(features, moved_size)[probe_of + tuple(moved_start.T)] = window
+            return features
+
+        return probe
 
 
 def gram_matrix(features) -> np.ndarray:
@@ -418,8 +552,8 @@ class GradCheckReport:
         return asdict(self)
 
 
-# probes per extractor pass, which every check on those probes shares;
-# bounds the memory of one batched pass
+# probes per extract call, whose features every check on those probes
+# shares; bounds the memory of one stack's features
 _PROBE_CHUNK = 32
 
 #: Largest ``max_rel_error`` a passing gradient check reports (acceptance
@@ -427,23 +561,33 @@ _PROBE_CHUNK = 32
 GRAD_CHECK_TOL = 1e-4
 
 
+def _probe_stack(base: np.ndarray, moved: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Probes (B, *base.shape): ``base`` with flat coordinate ``moved[i]`` moved by ``steps[i]``."""
+    probes = np.repeat(base.reshape(1, -1), moved.size, axis=0)
+    probes[np.arange(moved.size), moved] += steps
+    return probes.reshape((moved.size,) + base.shape)
+
+
 def _extractor_closures(g, extractor: FixedFeatureExtractor, fixed: dict) -> tuple[Callable, list]:
-    """One extractor pass, and a (loss_id, distance, analytic) check per feature loss of ``g``.
+    """The probes' features, and a (loss_id, distance, analytic) check per feature loss of ``g``.
 
     ``fixed`` maps ``"feature"`` and/or ``"style_frob"`` to that loss's fixed
-    second input, whose features (or Gram matrix) are extracted once.
+    second input; their features are extracted once, as one batch.
     ``g`` goes through ``features_and_vjp`` once and each loss's cotangent
-    is pulled back through that one adjoint.  ``extract`` runs a stack of
-    probes through the extractor as one batch; each loss's ``distance``
-    maps those features to the probes' loss values.
+    is pulled back through that one adjoint.  The returned ``extract`` is
+    the extractor's ``probe_evaluator`` of ``g``: it maps the moved
+    coordinates and steps of a stack of probes to their features, and
+    each loss's ``distance`` maps those features to the probes' loss values.
     """
-    fixed_features = {}
-    for loss_id, other in fixed.items():
-        ga, oa = as_f64_pair(g, other, "g", "x" if loss_id == "feature" else "y")
-        fixed_features[loss_id] = extractor.features(oa)
+    names = {"feature": "x", "style_frob": "y"}
+    others = [as_f64_pair(g, other, "g", names[loss_id])[1] for loss_id, other in fixed.items()]
+    ga = as_f64(g, "g")
     fg, vjp = extractor.features_and_vjp(ga)
+    # a stack of plain images gets the channel axis the extractor expects
+    stack = np.stack(others)
+    fixed_features = extractor.features(stack[:, np.newaxis] if stack.ndim == fg.ndim else stack)
     checks = []
-    for loss_id, fo in fixed_features.items():
+    for loss_id, fo in zip(fixed, fixed_features):
         if loss_id == "feature":
             distance = partial(_feature_distance, fx=fo)
             # d/dF of (1/f) ||F - fx||^2
@@ -455,25 +599,26 @@ def _extractor_closures(g, extractor: FixedFeatureExtractor, fixed: dict) -> tup
             flat = fg.reshape(fg.shape[0], -1)
             cotangent = (4.0 / flat.size * ((gram_matrix(fg) - gram_y) @ flat)).reshape(fg.shape)
         checks.append((loss_id, distance, vjp(cotangent)))
-    # a stack of plain-image probes gets the channel axis the extractor expects
-    return (lambda p: extractor.features(p[:, np.newaxis] if p.ndim == fg.ndim else p)), checks
+    return extractor.probe_evaluator(ga), checks
 
 
 def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, Callable, np.ndarray]:
     """Return (extract, distance, analytic gradient) for the first argument.
 
-    ``distance(extract(p))`` maps a stack of probes shaped (B, *first.shape)
-    to their B loss values.  ``extract`` is the identity for the L1 and
-    adversarial losses and the batched extractor pass for the feature
-    losses (``_extractor_closures``).
+    ``distance(extract(moved, steps))`` maps a stack of probes, the first
+    argument with flat coordinate ``moved[i]`` moved by ``steps[i]``, to
+    their B loss values.  ``extract`` builds that stack for the L1 and
+    adversarial losses and is the extractor's probe evaluator for the
+    feature losses (``_extractor_closures``).
     """
     if loss_id == "l1":
         a, b = as_f64_pair(*inputs, "a", "b")
-        return (lambda p: p), (lambda p: _l1_distance(p, b)), grad_loss_l1(a, b)
+        return partial(_probe_stack, a), (lambda p: _l1_distance(p, b)), grad_loss_l1(a, b)
     if loss_id == "adv_mse":
         scores, target = inputs
         t = _adv_target(target)
-        return (lambda p: p), (lambda p: _adv_distance(p, t)), grad_loss_adv_mse(scores, target)
+        s = as_f64(scores, "scores")
+        return partial(_probe_stack, s), (lambda p: _adv_distance(p, t)), grad_loss_adv_mse(s, t)
     if loss_id in ("feature", "style_frob"):
         g, fixed, extractor = inputs
         extract, [(_, distance, analytic)] = _extractor_closures(g, extractor, {loss_id: fixed})
@@ -482,7 +627,7 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, Callable, np.n
 
 
 def _grad_checks(
-    base: np.ndarray,
+    size: int,
     extract: Callable,
     checks: list[tuple[str, Callable, np.ndarray]],
     seed: int,
@@ -491,12 +636,13 @@ def _grad_checks(
     eligible: np.ndarray | None = None,
     note: str = "",
 ) -> list[GradCheckReport]:
-    """One report per (loss_id, distance, analytic) check of the same ``base``.
+    """One report per (loss_id, distance, analytic) check of the same first input.
 
-    Every check probes the same ``n_coords`` coordinates, drawn from
-    ``eligible`` (all of ``base``'s by default) with ``seed``; each stack of
-    ``_PROBE_CHUNK`` probes goes through ``extract`` once and every check
-    takes its values from that one pass.
+    Every check probes the same ``n_coords`` of the input's ``size``
+    coordinates, drawn from ``eligible`` (all of them by default) with
+    ``seed``; each stack of ``_PROBE_CHUNK`` probes goes through ``extract``
+    once, as its moved coordinates and steps, and every check takes its
+    values from those features.
     """
     reports = {}
     live = []
@@ -508,7 +654,7 @@ def _grad_checks(
                 loss_id, float("inf"), 0, h, seed, ok=False, note="non-finite analytic gradient"
             )
     if eligible is None:
-        eligible = np.arange(base.size)
+        eligible = np.arange(size)
     rng = np.random.default_rng(seed)
     n = min(n_coords, eligible.size)
     coords = rng.choice(eligible, size=n, replace=False)
@@ -520,10 +666,7 @@ def _grad_checks(
     # no probes when no analytic gradient is finite
     for start in range(0, 2 * n if live else 0, _PROBE_CHUNK):
         chunk = slice(start, start + _PROBE_CHUNK)
-        idx = moved[chunk]
-        probes = np.repeat(base.reshape(1, -1), idx.size, axis=0)
-        probes[np.arange(idx.size), idx] += steps[chunk]
-        extracted = extract(probes.reshape((idx.size,) + base.shape))
+        extracted = extract(moved[chunk], steps[chunk])
         for row, (_, distance, _) in zip(values, live):
             row[chunk] = distance(extracted)
         del extracted  # else held while the next stack is extracted (+0.8 MB peak)
@@ -564,10 +707,11 @@ def grad_check(
     (both integers), perturbs each by a finite, positive +-h and
     reports the max relative error, denominator max(|analytic|, |numeric|, 1e-8).
     Each probe moves exactly one coordinate; the 2 * n probes are
-    evaluated as stacks of ``_PROBE_CHUNK``, so a feature loss makes one
-    batched extractor pass per stack.  ``run_grad_checks`` runs its
-    feature and style checks through the same probe loop (``_grad_checks``)
-    on one shared set of probes.
+    evaluated as stacks of ``_PROBE_CHUNK``.  A feature loss evaluates
+    each stack through the extractor's ``probe_evaluator``, which
+    recomputes only each probe's receptive field.  ``run_grad_checks``
+    runs its feature and style checks through the same probe loop
+    (``_grad_checks``) on one shared set of probes.
     For the L1 loss, coordinates whose difference is within 2h of a tie
     are excluded: the kink there makes finite differences meaningless.
     """
@@ -588,7 +732,7 @@ def grad_check(
             )
         if eligible.size < n_coords:
             note = f"only {eligible.size} coordinates clear of ties"
-    return _grad_checks(base, extract, [(loss_id, distance, analytic)], seed, n_coords, h,
+    return _grad_checks(base.size, extract, [(loss_id, distance, analytic)], seed, n_coords, h,
                         eligible, note)[0]
 
 
@@ -597,8 +741,8 @@ def run_grad_checks(seed: int) -> list[GradCheckReport]:
 
     The L1 and adversarial checks go through ``grad_check``; the feature
     and style checks share ``g`` and the extractor, so they share one set
-    of probes and one extractor pass per stack of them.  The reports equal
-    those of four ``grad_check`` calls.
+    of probes and one probe evaluation per stack of them.  The reports
+    equal those of four ``grad_check`` calls.
     """
     seed = _int_arg(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -614,5 +758,5 @@ def run_grad_checks(seed: int) -> list[GradCheckReport]:
     return [
         grad_check("l1", (a, b), seed),
         grad_check("adv_mse", (scores, 1.0), seed),
-        *_grad_checks(g, extract, checks, seed, n_coords=64, h=1e-5),
+        *_grad_checks(g.size, extract, checks, seed, n_coords=64, h=1e-5),
     ]

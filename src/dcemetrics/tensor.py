@@ -85,6 +85,14 @@ _SLAB_BYTES = 512 * 1024
 #: CPU, one BLAS thread, medians of 5 loops of 30 calls.
 _CONV_STACK_BYTES = 512 * 1024
 
+#: ``conv``'s products span a multiple of this many output columns, so an
+#: output's bits do not hang on the input's extent.  OpenBLAS 0.3.31 on an
+#: AVX-512 CPU computes the last 1-4 columns of a product whose width is
+#: not a multiple of 8 with other arithmetic than the rest, one rounding
+#: apart (16 x 48 by 48 x w products).  16 rather than 8 leaves a margin
+#: for BLAS builds with wider blocks; no product at 14x14 or 64x64 changes.
+_CONV_WIDTH_ALIGN = 16
+
 #: The SSIM window of Wang et al. 2004: 11 Gaussian taps per axis, sigma 1.5.
 WINDOW_SIZE = 11
 WINDOW_SIGMA = 1.5
@@ -242,7 +250,10 @@ def conv(x, kernel) -> np.ndarray:
     optional batch axis goes through the stack in blocks of as many items
     as fit ``_CONV_STACK_BYTES`` (at least one), each block's items a
     broadcast axis of its products, so every item's products are the same
-    whatever the batch around it.
+    whatever the batch around it.  The products' width is rounded up to a
+    multiple of ``_CONV_WIDTH_ALIGN`` columns, so each output is computed
+    the same way whatever the input's extent around it: a patch's outputs
+    at least a half-width from its cut edges equal the whole input's.
 
     Args:
         x: input of shape (C_in, spatial...), or (B, C_in, spatial...) for a
@@ -282,11 +293,14 @@ def conv(x, kernel) -> np.ndarray:
     # is outside the input, so each row shift s of the first axis is one
     # block of the products' contraction.  The other axes are zero-padded,
     # and one spare row after the first axis keeps every tap's shifted read
-    # in bounds; it feeds only columns that are cropped away.  The items go
-    # through the stack a block at a time; every block writes the same
-    # in-input region, so the zeros written once stay valid
+    # in bounds; it feeds only columns that are cropped away, as do the
+    # spare rows that the aligned width reads.  The items go through the
+    # stack a block at a time; every block writes the same in-input region,
+    # so the zeros written once stay valid
     halves = [ks // 2 for ks in kshape[1:]]
-    padded = (n0 + 1,) + tuple(n + 2 * h for n, h in zip(spatial[1:], halves))
+    row = math.prod(n + 2 * h for n, h in zip(spatial[1:], halves))
+    width = -(-n0 * row // _CONV_WIDTH_ALIGN) * _CONV_WIDTH_ALIGN
+    padded = (-(-width // row) + 1,) + tuple(n + 2 * h for n, h in zip(spatial[1:], halves))
     n_items = math.prod(lead)  # an unbatched input is one item
     items = x.reshape((n_items, c_in) + spatial)
     item_bytes = 8 * k0 * c_in * math.prod(padded)
@@ -299,7 +313,6 @@ def conv(x, kernel) -> np.ndarray:
     # padded grid's full width
     strides = np.cumprod((1,) + padded[:0:-1])[::-1]  # row-major, in elements
     offsets = [sum(i * st for i, st in zip(t, strides[1:])) for t in np.ndindex(*kshape[1:])]
-    width = n0 * int(strides[0])
     # (C_out, k0 * C_in) weights per tap of the other axes, shift-major like the stack
     taps = np.moveaxis(k.swapaxes(1, 2).reshape(c_out, k0 * c_in, -1), -1, 0).copy()
     acc = np.empty((n_items, c_out, width))
@@ -318,7 +331,7 @@ def conv(x, kernel) -> np.ndarray:
             np.matmul(tap, flat[..., offset : offset + width], out=part[:n])
             block_acc += part[:n]
     del stack, part  # before the cropped copy, which bounds the peak memory
-    acc = acc.reshape(lead + (c_out, n0) + padded[1:])
+    acc = acc[..., : n0 * row].reshape(lead + (c_out, n0) + padded[1:])
     return np.ascontiguousarray(acc[(...,) + tuple(slice(n) for n in spatial[1:])])
 
 

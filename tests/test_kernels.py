@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -43,6 +44,56 @@ class _LinearExtractor:
             return g[0] if plain else g
 
         return self.features(image), vjp
+
+    def probe_evaluator(self, image):
+        # the identity map moves each probe's features where it moved the image
+        return partial(kernels._probe_stack, self.features(image))
+
+
+class _StackingExtractor:
+    """An extractor whose probes go through ``features`` as one explicit stack.
+
+    It stands for the full pass over every probe, which the probe evaluator
+    must reproduce bit for bit.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.features = inner.features
+        self.features_and_vjp = inner.features_and_vjp
+
+    def probe_evaluator(self, image):
+        base = np.asarray(image, dtype=np.float64)
+        plain = base.ndim == self.inner.kernels[0].ndim - 2
+
+        def probe(moved, steps):
+            stack = kernels._probe_stack(base, moved, steps)
+            return self.inner.features(stack[:, np.newaxis] if plain else stack)
+
+        return probe
+
+
+def _extractor(seed, kernel_shapes):
+    """A FixedFeatureExtractor with seeded weights of the given kernel shapes."""
+    rng = np.random.default_rng(seed)
+    kernels = tuple(rng.normal(0.0, 1.0 / math.sqrt(math.prod(k[1:])), size=k)
+                    for k in kernel_shapes)
+    biases = tuple(rng.normal(0.0, 0.1, size=k[0]) for k in kernel_shapes)
+    return FixedFeatureExtractor(kernels, biases)
+
+
+# (extractor, first input) pairs the probe evaluator must reproduce bit for
+# bit: images smaller than the receptive field, several input channels,
+# non-square kernels and a 3D extractor
+_PROBE_CASES = {
+    "14x14": (lambda: FixedFeatureExtractor.from_seed(0), (14, 14)),
+    "5x5": (lambda: FixedFeatureExtractor.from_seed(1), (5, 5)),
+    "1x7": (lambda: FixedFeatureExtractor.from_seed(2), (1, 7)),
+    "1x1": (lambda: FixedFeatureExtractor.from_seed(3), (1, 1)),
+    "3x8x8": (lambda: FixedFeatureExtractor.from_seed(4, channels=(3, 8, 16, 16)), (3, 8, 8)),
+    "5x3_kernels": (lambda: _extractor(5, [(4, 1, 5, 3), (6, 4, 5, 3), (5, 6, 5, 3)]), (9, 6)),
+    "3d": (lambda: _extractor(6, [(4, 1, 3, 3, 3), (5, 4, 3, 1, 5)]), (5, 6, 4)),
+}
 
 
 class TestAdaIN:
@@ -284,6 +335,92 @@ class TestFeatureExtractor:
         grad = vjp(cot)
         assert grad.shape == (6, 6)
         npt.assert_array_equal(grad, want_vjp(cot))
+
+    def test_list_layers_are_taken_as_arrays(self):
+        # list kernels once raised AttributeError at the first features call
+        ex = FixedFeatureExtractor.from_seed(7)
+        listed = FixedFeatureExtractor([k.tolist() for k in ex.kernels],
+                                       [b.tolist() for b in ex.biases])
+        x = np.random.default_rng(8).normal(size=(6, 6))
+        npt.assert_array_equal(listed.features(x), ex.features(x))
+        assert isinstance(listed.kernels, tuple) and isinstance(listed.biases[0], np.ndarray)
+
+    def test_rejects_no_layers(self):
+        # once an IndexError at construction
+        with pytest.raises(ValueError, match="^an extractor needs at least one layer"):
+            FixedFeatureExtractor((), ())
+
+    def test_rejects_more_kernels_than_biases(self):
+        # once a silent one-layer network: zip dropped the second kernel
+        ex = FixedFeatureExtractor.from_seed(0, channels=(1, 8, 8))
+        with pytest.raises(ValueError, match="^2 kernels but 1 biases; layer 1 lacks its bias$"):
+            FixedFeatureExtractor(ex.kernels, ex.biases[:1])
+
+    @pytest.mark.parametrize("shape", [(8, 9), (8, 1, 4, 4), (8, 1, 3, 2), (0, 1, 3, 3)],
+                             ids=["no_spatial_axis", "even", "one_even_axis", "no_channels"])
+    def test_rejects_a_kernel_of_the_wrong_shape(self, shape):
+        ex = FixedFeatureExtractor.from_seed(0)
+        kernels = (ex.kernels[0], np.zeros(shape)) + ex.kernels[2:]
+        with pytest.raises(ValueError, match=r"^layer 1 kernel must be shaped \(C_out, C_in, odd"):
+            FixedFeatureExtractor(kernels, ex.biases)
+
+    def test_rejects_mixed_spatial_ranks(self):
+        ex = FixedFeatureExtractor.from_seed(0)
+        kernels = (ex.kernels[0], np.zeros((16, 8, 3, 3, 3)), ex.kernels[2])
+        with pytest.raises(ValueError, match="^layer 1 kernel has 3 spatial axes, layer 0 has 2$"):
+            FixedFeatureExtractor(kernels, ex.biases)
+
+    def test_rejects_unchained_channels(self):
+        ex = FixedFeatureExtractor.from_seed(0)
+        kernels = ex.kernels[:2] + (np.zeros((16, 8, 3, 3)),)
+        with pytest.raises(ValueError, match="^layer 2 kernel takes 8 channels, layer 1 gives 16$"):
+            FixedFeatureExtractor(kernels, ex.biases)
+
+    @pytest.mark.parametrize("shape", [(4,), (16, 1), ()])
+    def test_rejects_a_bias_of_the_wrong_shape(self, shape):
+        ex = FixedFeatureExtractor.from_seed(0)
+        biases = (ex.biases[0], np.zeros(shape), ex.biases[2])
+        with pytest.raises(ValueError, match=r"^layer 1 bias must be shaped \(16,\), got"):
+            FixedFeatureExtractor(ex.kernels, biases)
+
+    @pytest.mark.parametrize("part", ["kernel", "bias"])
+    def test_rejects_a_non_finite_weight(self, part):
+        ex = FixedFeatureExtractor.from_seed(0)
+        kernels, biases = list(ex.kernels), list(ex.biases)
+        if part == "kernel":
+            kernels[2] = kernels[2].copy()
+            kernels[2].flat[5] = np.inf
+        else:
+            biases[2] = biases[2].copy()
+            biases[2][3] = np.nan
+        offset = 5 if part == "kernel" else 3
+        with pytest.raises(ValueError, match=f"^layer 2 {part} contains a non-finite value "
+                                             f"at flat offset {offset}$"):
+            FixedFeatureExtractor(kernels, biases)
+
+    @pytest.mark.parametrize("case", _PROBE_CASES)
+    def test_probe_evaluator_equals_features_of_the_probe_stack(self, case):
+        # every coordinate, edges and corners included, moved both ways, in
+        # stacks of _PROBE_CHUNK like the gradient checks; the reference is
+        # the full pass over the explicit stack of probes
+        make, shape = _PROBE_CASES[case]
+        ex = make()
+        image = np.random.default_rng(9).normal(size=shape)
+        probe = ex.probe_evaluator(image)
+        reference = _StackingExtractor(ex).probe_evaluator(image)
+        moved = np.repeat(np.arange(image.size), 2)
+        steps = np.tile([1e-5, -1e-5], image.size)
+        for start in range(0, moved.size, kernels._PROBE_CHUNK):
+            chunk = slice(start, start + kernels._PROBE_CHUNK)
+            got = probe(moved[chunk], steps[chunk])
+            want = reference(moved[chunk], steps[chunk])
+            assert got.shape == want.shape
+            npt.assert_array_equal(got, want)
+
+    def test_probe_evaluator_takes_one_image(self):
+        ex = FixedFeatureExtractor.from_seed(0)
+        with pytest.raises(ValueError, match="^probe_evaluator takes one image"):
+            ex.probe_evaluator(np.zeros((2, 1, 5, 5)))
 
 
 class TestGram:
@@ -541,8 +678,9 @@ class TestGradCheck:
             "style_frob": (loss_style_frob, (second, ex)),
         }[loss_id]
         extract, distance, _ = kernels._loss_closure(loss_id, (first, *rest))
-        probes = rng.normal(size=(3, 9, 9))
-        assert distance(extract(probes)).tolist() == [public(p, *rest) for p in probes]
+        moved, steps = np.array([0, 40, 80]), rng.normal(size=3)
+        probes = kernels._probe_stack(first, moved, steps)
+        assert distance(extract(moved, steps)).tolist() == [public(p, *rest) for p in probes]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_run_grad_checks_equals_separate_checks(self, seed):
@@ -561,6 +699,35 @@ class TestGradCheck:
         ]
         assert [r.to_dict() for r in run_grad_checks(seed)] == [r.to_dict() for r in separate]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_run_grad_checks_equals_explicit_probe_stacks(self, seed):
+        # the probe evaluator must leave every report as the full pass over
+        # each explicit stack of probes gives it, bit for bit
+        rng = np.random.default_rng(seed)
+        stacking = _StackingExtractor(FixedFeatureExtractor.from_seed(seed))
+        a, b = rng.normal(0.0, 1.0, size=(2, 14, 14))
+        scores = rng.normal(0.5, 0.3, size=(128,))
+        g, x, y = rng.normal(0.0, 1.0, size=(3, 14, 14))
+        explicit = [
+            grad_check("l1", (a, b), seed),
+            grad_check("adv_mse", (scores, 1.0), seed),
+            grad_check("feature", (g, x, stacking), seed),
+            grad_check("style_frob", (g, y, stacking), seed),
+        ]
+        assert [r.to_dict() for r in run_grad_checks(seed)] == [r.to_dict() for r in explicit]
+
+    @pytest.mark.parametrize("case", _PROBE_CASES)
+    @pytest.mark.parametrize("loss_id", ["feature", "style_frob"])
+    def test_grad_check_equals_explicit_probe_stacks(self, loss_id, case):
+        make, shape = _PROBE_CASES[case]
+        ex = make()
+        rng = np.random.default_rng(44)
+        g, fixed = rng.normal(size=(2,) + shape)
+        report = grad_check(loss_id, (g, fixed, ex), seed=9, n_coords=40)
+        assert report.ok and report.max_rel_error <= 1e-4
+        explicit = grad_check(loss_id, (g, fixed, _StackingExtractor(ex)), seed=9, n_coords=40)
+        assert report == explicit
+
     def test_run_grad_checks_makes_one_extractor_pass_per_probe_stack(self, monkeypatch):
         calls = {"features": 0, "conv": 0}
         features, conv = FixedFeatureExtractor.features, kernels.conv
@@ -576,8 +743,10 @@ class TestGradCheck:
         monkeypatch.setattr(FixedFeatureExtractor, "features", counting_features)
         monkeypatch.setattr(kernels, "conv", counting_conv)
         run_grad_checks(0)
-        # x and y once each plus 4 stacks of 32 probes, 3 convs per pass; g
-        # once forward and once back per loss; separate checks made 10 and 42
+        # x and y as one batch, g forward for its pullback and again for its
+        # probe evaluator and back once per loss, then 3 patch convs per
+        # stack of 32 probes: 1 and 27; full passes per stack made 6 and 27,
+        # separate checks 10 and 42
         assert calls["features"] <= 6
         assert calls["conv"] <= 27
 

@@ -199,13 +199,37 @@ class TestConv:
         rng = np.random.default_rng(23)
         xb = rng.normal(size=(5, 3, 2, 7))
         k = rng.normal(size=(4, 3, 5, 3))
-        item_bytes = 8 * 5 * 3 * (2 + 1) * (7 + 2)  # k0 * C_in * padded grid
+        # k0 * C_in * padded grid; the 2 * 9 products round up to 32 columns,
+        # which read 4 padded rows, plus the spare one
+        item_bytes = 8 * 5 * 3 * (4 + 1) * (7 + 2)
         monkeypatch.setattr(tensor, "_CONV_STACK_BYTES", items_per_block * item_bytes)
         out = conv(xb, k)
         assert out.shape == (5, 4, 2, 7)
         for x, got in zip(xb, out):
             npt.assert_array_equal(got, conv(x, k))
             npt.assert_allclose(got, brute_conv(x, k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spatial", [(14, 14), (5, 5), (9, 6), (1, 7), (4, 5, 6)])
+    def test_patch_outputs_equal_the_whole_inputs(self, spatial):
+        # the products span a multiple of _CONV_WIDTH_ALIGN columns, so every
+        # output at least a half-width from a patch's cut edges is computed as
+        # in the whole input, bit for bit, wherever the patch lies
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(8,) + spatial)
+        k = rng.normal(size=(16, 8) + (3,) * len(spatial))
+        full = conv(x, k)
+        size = tuple(min(5, n) for n in spatial)
+        starts = list(np.ndindex(*(n - w + 1 for n, w in zip(spatial, size))))
+        patches = np.stack([x[(slice(None),) + tuple(slice(s, s + w) for s, w in zip(st, size))]
+                            for st in starts])
+        for st, got in zip(starts, conv(patches, k)):
+            # a cut edge loses its outermost output; the image's own edges do not
+            keep = [(s if s == 0 else s + 1, s + w if s + w == n else s + w - 1)
+                    for s, w, n in zip(st, size, spatial)]
+            npt.assert_array_equal(
+                got[(slice(None),) + tuple(slice(lo - s, hi - s) for (lo, hi), s in zip(keep, st))],
+                full[(slice(None),) + tuple(slice(lo, hi) for lo, hi in keep)],
+            )
 
     @pytest.mark.parametrize(
         "shape, c_out, batched",
