@@ -56,7 +56,7 @@ from .metrics import (
     ssim,
 )
 from .phantom import PhantomOutput, PhantomSpec, Region, generate, make_triple
-from .tensor import TensorND, VolumeSequence, conv
+from .tensor import TensorND, VolumeSequence
 
 __all__ = [
     "__version__",
@@ -79,7 +79,6 @@ __all__ = [
     "aggregate",
     "bidirectional_convlstm",
     "canonical_bytes",
-    "conv",
     "convlstm_cell",
     "cw_ssim",
     "detect_ce",

@@ -23,13 +23,16 @@ loops and finite differences:
   adjoint from the fixed-side features it extracts once.  One probe loop,
   ``_grad_checks``, serves ``grad_check`` (one loss) and
   ``run_grad_checks``, whose feature and style checks share ``g``: they
-  run ``features_and_vjp(g)`` once, apply its pullback to each loss's
-  cotangent and take their distances from one evaluation per stack of
-  probes.  A probe moves one coordinate, so the extractor's
-  ``probe_evaluator`` recomputes each layer only on the window the move
-  reaches, from ``g``'s own activations, and writes it into copies of
-  ``g``'s features: the features, and so the reports, equal those of a
-  full pass over each stack of probes bit for bit.
+  run ``linearize(g)`` once, apply its pullback to each loss's cotangent
+  and take their distances from one evaluation per stack of probes.  A
+  probe moves one coordinate, so the probe evaluator recomputes only the
+  window the move reaches, from ``g``'s own activations; the reports equal
+  those of a full pass over each stack of probes bit for bit.
+
+Each array is scanned for NaN/Inf once, by the public function that takes
+it, which hands it on as ``tensor._trusted``; ``conv`` scans nothing.  An
+extractor is any object with ``features`` and ``linearize`` that takes
+what ``as_f64`` takes.
 
 The paper's convolution with kernels predicted from a style code is not
 kept; every convolution is ``tensor.conv``, zero-padded and size-preserving.
@@ -45,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import _is_int, as_f64, as_f64_pair, conv
+from .tensor import _is_int, _trusted, as_f64, as_f64_pair, conv
 
 LOSS_IDS = ("l1", "adv_mse", "feature", "style_frob")
 # spatial kernel of every seeded or zero-weight constructor
@@ -93,7 +96,7 @@ def adain(content, style, eps: float = 1e-5) -> np.ndarray:
         raise ValueError(
             f"channel mismatch: content has {c.shape[0]}, style has {s.shape[0]}"
         )
-    if not 0.0 < eps < np.inf:  # NaN fails both comparisons
+    if isinstance(eps, bool) or not 0.0 < eps < np.inf:  # NaN fails both comparisons
         raise ValueError(f"eps must be finite and positive, got {eps}")
     mu_c = c.mean(axis=_spatial_axes(c), keepdims=True)
     var_c = c.var(axis=_spatial_axes(c), keepdims=True)
@@ -123,9 +126,10 @@ class ConvLSTMWeights:
         b = as_f64(self.bias, "bias")
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "bias", b)
-        if k.ndim < 3 or k.shape[0] % 4 != 0:
+        if k.ndim < 3 or k.shape[0] % 4 != 0 or not 0 < k.shape[0] // 4 < k.shape[1]:
             raise ValueError(
-                f"kernel must be (4*hidden, channels, k...), got {k.shape}"
+                f"kernel must be (4*hidden, in_channels + hidden, k...), each count at "
+                f"least 1, got {k.shape}"
             )
         if any(s % 2 == 0 for s in k.shape[2:]):
             raise ValueError(f"gate kernel sizes must be odd, got {k.shape[2:]}")
@@ -224,7 +228,7 @@ def bidirectional_convlstm(
         state = ConvLSTMState.zeros(weights.hidden, shape[1:])
         outs = []
         for f in direction_frames:
-            state = convlstm_cell(f, state, weights)
+            state = convlstm_cell(_trusted(f), state, weights)
             outs.append(state.h)
         return outs
 
@@ -275,10 +279,9 @@ class FixedFeatureExtractor:
     (C_out, C_in, odd sizes...) of one spatial rank, each taking the
     previous one's channels, and biases shaped (C_out,).  Every layer is
     zero 'same' padded and weights are never updated.
-    ``features_and_vjp`` exposes the exact adjoint so losses routed
-    through P have analytic input gradients; ``probe_evaluator`` gives the
-    features of one-coordinate moves of an image from that image's own
-    activations.
+    ``linearize`` exposes the exact adjoint so losses routed through P have
+    analytic input gradients, and gives the features of one-coordinate
+    moves of an image from that image's own activations.
     """
 
     kernels: tuple[np.ndarray, ...]
@@ -363,15 +366,30 @@ class FixedFeatureExtractor:
         """Feature map (C_last, spatial...) for an image (spatial...) or (C, spatial...).
 
         A batch (B, C, spatial...) gives (B, C_last, spatial...), each layer
-        running the whole batch through one convolution.  Gradient checks
-        extract their fixed sides this way; their probes go through
-        ``probe_evaluator``.
+        running the whole batch through one convolution.
         """
-        return self.features_and_vjp(image)[0]
+        return self._forward(self._lift(image)[0])[-1]
 
-    def features_and_vjp(self, image):
-        """Features plus a pullback mapping d(loss)/d(features) to d(loss)/d(image)."""
+    def linearize(self, image) -> tuple[np.ndarray, Callable, Callable]:
+        """``(features, vjp, probe)`` of one image, from one check and one forward pass.
+
+        ``vjp`` maps d(loss)/d(features) to d(loss)/d(image) (spatial...) or
+        (C, spatial...).  ``probe(moved, steps)`` gives the features (B,
+        C_last, spatial...) of B one-coordinate moves: probe i is ``image``
+        with flat coordinate ``moved[i]`` moved by ``steps[i]``.  The move
+        reaches only a window of each layer's output, whose radius on each
+        axis is the sum of the kernels' half-widths so far.  ``probe`` runs
+        each layer through ``conv`` on one patch per probe, that window plus
+        a halo of the kernel's half-widths, clipped to and shifted inside the
+        image so its edges keep conv's zero padding, and writes the last
+        windows into copies of ``image``'s features.  ``conv`` computes an
+        output the same way whatever the extent around it, so the result
+        equals ``features`` of the stack of probes bit for bit.
+        """
         a, plain = self._lift(image)
+        n_sp = self.kernels[0].ndim - 2
+        if a.ndim != n_sp + 1:
+            raise ValueError(f"linearize takes one image, got a batch {a.shape}")
         activations = self._forward(a)
 
         def vjp(cotangent: np.ndarray) -> np.ndarray:
@@ -388,28 +406,6 @@ class FixedFeatureExtractor:
                 grad = conv(grad, k_adj)
             return grad[0] if plain else grad
 
-        return activations[-1], vjp
-
-    def probe_evaluator(self, image) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """``probe(moved, steps)``: features (B, C_last, spatial...) of B one-coordinate moves.
-
-        Probe i is ``image`` (spatial...) or (C, spatial...) with its flat
-        coordinate ``moved[i]`` moved by ``steps[i]``.  The move reaches
-        only a window of each layer's output, whose radius on each axis is
-        the sum of the kernels' half-widths so far.  ``probe`` runs each
-        layer through ``conv`` on one patch per probe, that window plus a
-        halo of the kernel's half-widths, clipped to and shifted inside the
-        image so its edges keep conv's zero padding, and writes the last
-        windows into copies of ``image``'s features.  ``conv`` computes an
-        output the same way whatever the extent around it, so the result
-        equals ``features`` of the stack of probes bit for bit.
-        ``image``'s activations are computed once, here.
-        """
-        a, _ = self._lift(image)
-        n_sp = self.kernels[0].ndim - 2
-        if a.ndim != n_sp + 1:
-            raise ValueError(f"probe_evaluator takes one image, got a batch {a.shape}")
-        activations = self._forward(a)
         spatial = np.array(a.shape[1:])
         positions = np.indices(spatial).reshape(n_sp, -1).T
         # per layer: its weights, its input's activations, and the boxes of
@@ -445,7 +441,7 @@ class FixedFeatureExtractor:
             _windows(features, moved_size)[probe_of + tuple(moved_start.T)] = window
             return features
 
-        return probe
+        return activations[-1], vjp, probe
 
 
 def gram_matrix(features) -> np.ndarray:
@@ -509,7 +505,8 @@ def grad_loss_adv_mse(scores, target: float) -> np.ndarray:
 def _feature_distance(fg: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """(1/f) ||fg[i] - fx||^2 for each map of a stack fg (B, C, spatial...)."""
     d = (fg - fx).reshape(len(fg), -1)
-    return (d**2).sum(axis=1) / d.shape[1]
+    d *= d
+    return d.sum(axis=1) / d.shape[1]
 
 
 def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
@@ -517,8 +514,8 @@ def loss_feature(g, x, extractor: FixedFeatureExtractor) -> float:
 
     (1/f) * ||P(g) - P(x)||^2 with f the feature element count.
     """
-    ga, xa = as_f64_pair(g, x, "g", "x")
-    return float(_feature_distance(extractor.features(ga)[np.newaxis], extractor.features(xa))[0])
+    fg, fx = (extractor.features(_trusted(v)) for v in as_f64_pair(g, x, "g", "x"))
+    return float(_feature_distance(fg[np.newaxis], fx)[0])
 
 
 def _style_distance(fg: np.ndarray, gram_y: np.ndarray) -> np.ndarray:
@@ -529,9 +526,8 @@ def _style_distance(fg: np.ndarray, gram_y: np.ndarray) -> np.ndarray:
 
 def loss_style_frob(g, y, extractor: FixedFeatureExtractor) -> float:
     """Squared Frobenius distance between feature Gram matrices."""
-    ga, ya = as_f64_pair(g, y, "g", "y")
-    gram_y = gram_matrix(extractor.features(ya))
-    return float(_style_distance(extractor.features(ga)[np.newaxis], gram_y)[0])
+    fg, fy = (extractor.features(_trusted(v)) for v in as_f64_pair(g, y, "g", "y"))
+    return float(_style_distance(fg[np.newaxis], _grams(fy[np.newaxis])[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -572,20 +568,20 @@ def _extractor_closures(g, extractor: FixedFeatureExtractor, fixed: dict) -> tup
     """The probes' features, and a (loss_id, distance, analytic) check per feature loss of ``g``.
 
     ``fixed`` maps ``"feature"`` and/or ``"style_frob"`` to that loss's fixed
-    second input; their features are extracted once, as one batch.
-    ``g`` goes through ``features_and_vjp`` once and each loss's cotangent
-    is pulled back through that one adjoint.  The returned ``extract`` is
-    the extractor's ``probe_evaluator`` of ``g``: it maps the moved
-    coordinates and steps of a stack of probes to their features, and
-    each loss's ``distance`` maps those features to the probes' loss values.
+    second input; their features are extracted once, as one batch.  ``g``
+    goes through ``linearize`` once and each loss's cotangent is pulled back
+    through that one adjoint.  The returned ``extract`` is ``g``'s probe
+    evaluator, mapping the moved coordinates and steps of a stack of probes
+    to their features; each loss's ``distance`` maps those to loss values.
     """
     names = {"feature": "x", "style_frob": "y"}
-    others = [as_f64_pair(g, other, "g", names[loss_id])[1] for loss_id, other in fixed.items()]
-    ga = as_f64(g, "g")
-    fg, vjp = extractor.features_and_vjp(ga)
+    ga = _trusted(as_f64(g, "g"))
+    others = [as_f64_pair(ga, other, "g", names[loss_id])[1] for loss_id, other in fixed.items()]
+    fg, vjp, extract = extractor.linearize(ga)
     # a stack of plain images gets the channel axis the extractor expects
     stack = np.stack(others)
-    fixed_features = extractor.features(stack[:, np.newaxis] if stack.ndim == fg.ndim else stack)
+    fixed_features = extractor.features(
+        _trusted(stack[:, np.newaxis] if stack.ndim == fg.ndim else stack))
     checks = []
     for loss_id, fo in zip(fixed, fixed_features):
         if loss_id == "feature":
@@ -593,17 +589,18 @@ def _extractor_closures(g, extractor: FixedFeatureExtractor, fixed: dict) -> tup
             # d/dF of (1/f) ||F - fx||^2
             cotangent = 2.0 * (fg - fo) / fg.size
         else:
-            gram_y = gram_matrix(fo)
+            gram_y = _grams(fo[np.newaxis])[0]
             distance = partial(_style_distance, gram_y=gram_y)
             # d/dF of ||G(F) - gram_y||^2 with G(F) = F F^T / f
             flat = fg.reshape(fg.shape[0], -1)
-            cotangent = (4.0 / flat.size * ((gram_matrix(fg) - gram_y) @ flat)).reshape(fg.shape)
+            gram_g = _grams(fg[np.newaxis])[0]
+            cotangent = (4.0 / flat.size * ((gram_g - gram_y) @ flat)).reshape(fg.shape)
         checks.append((loss_id, distance, vjp(cotangent)))
-    return extractor.probe_evaluator(ga), checks
+    return extract, checks
 
 
-def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, Callable, np.ndarray]:
-    """Return (extract, distance, analytic gradient) for the first argument.
+def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, list]:
+    """``extract`` and the one (loss_id, distance, analytic) check of the first argument.
 
     ``distance(extract(moved, steps))`` maps a stack of probes, the first
     argument with flat coordinate ``moved[i]`` moved by ``steps[i]``, to
@@ -613,21 +610,21 @@ def _loss_closure(loss_id: str, inputs: tuple) -> tuple[Callable, Callable, np.n
     """
     if loss_id == "l1":
         a, b = as_f64_pair(*inputs, "a", "b")
-        return partial(_probe_stack, a), (lambda p: _l1_distance(p, b)), grad_loss_l1(a, b)
+        check = (loss_id, partial(_l1_distance, b=b), grad_loss_l1(_trusted(a), _trusted(b)))
+        return partial(_probe_stack, a), [check]
     if loss_id == "adv_mse":
         scores, target = inputs
         t = _adv_target(target)
         s = as_f64(scores, "scores")
-        return partial(_probe_stack, s), (lambda p: _adv_distance(p, t)), grad_loss_adv_mse(s, t)
+        check = (loss_id, partial(_adv_distance, target=t), grad_loss_adv_mse(_trusted(s), t))
+        return partial(_probe_stack, s), [check]
     if loss_id in ("feature", "style_frob"):
         g, fixed, extractor = inputs
-        extract, [(_, distance, analytic)] = _extractor_closures(g, extractor, {loss_id: fixed})
-        return extract, distance, analytic
+        return _extractor_closures(g, extractor, {loss_id: fixed})
     raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
 
 
 def _grad_checks(
-    size: int,
     extract: Callable,
     checks: list[tuple[str, Callable, np.ndarray]],
     seed: int,
@@ -638,9 +635,9 @@ def _grad_checks(
 ) -> list[GradCheckReport]:
     """One report per (loss_id, distance, analytic) check of the same first input.
 
-    Every check probes the same ``n_coords`` of the input's ``size``
-    coordinates, drawn from ``eligible`` (all of them by default) with
-    ``seed``; each stack of ``_PROBE_CHUNK`` probes goes through ``extract``
+    Every check probes the same ``n_coords`` of the input's coordinates,
+    drawn from ``eligible`` (by default all, as many as an analytic gradient
+    has) with ``seed``; each stack of ``_PROBE_CHUNK`` probes goes through ``extract``
     once, as its moved coordinates and steps, and every check takes its
     values from those features.
     """
@@ -654,7 +651,7 @@ def _grad_checks(
                 loss_id, float("inf"), 0, h, seed, ok=False, note="non-finite analytic gradient"
             )
     if eligible is None:
-        eligible = np.arange(size)
+        eligible = np.arange(checks[0][2].size)
     rng = np.random.default_rng(seed)
     n = min(n_coords, eligible.size)
     coords = rng.choice(eligible, size=n, replace=False)
@@ -708,10 +705,8 @@ def grad_check(
     reports the max relative error, denominator max(|analytic|, |numeric|, 1e-8).
     Each probe moves exactly one coordinate; the 2 * n probes are
     evaluated as stacks of ``_PROBE_CHUNK``.  A feature loss evaluates
-    each stack through the extractor's ``probe_evaluator``, which
-    recomputes only each probe's receptive field.  ``run_grad_checks``
-    runs its feature and style checks through the same probe loop
-    (``_grad_checks``) on one shared set of probes.
+    each stack through the probe evaluator of the extractor's
+    ``linearize``, which recomputes only each probe's receptive field.
     For the L1 loss, coordinates whose difference is within 2h of a tie
     are excluded: the kink there makes finite differences meaningless.
     """
@@ -719,21 +714,19 @@ def grad_check(
     n_coords = _int_arg(n_coords, "n_coords", 1)
     if isinstance(h, bool) or not 0.0 < h < np.inf:  # NaN fails both comparisons
         raise ValueError(f"h must be finite and positive, got {h}")
-    extract, distance, analytic = _loss_closure(loss_id, inputs)
-    base = as_f64(inputs[0], "inputs[0]")
     eligible, note = None, ""
     if loss_id == "l1":  # its analytic gradient, a sign over a size, is always finite
-        margin = max(1e-7, 2.0 * h)
-        diff = np.abs(base.ravel() - as_f64(inputs[1], "inputs[1]").ravel())
-        eligible = np.flatnonzero(diff > margin)
+        a, b = as_f64_pair(*inputs, "a", "b")
+        inputs = (_trusted(a), _trusted(b))
+        eligible = np.flatnonzero(np.abs(a - b).ravel() > max(1e-7, 2.0 * h))
         if eligible.size == 0:
             return GradCheckReport(
                 loss_id, float("inf"), 0, h, seed, ok=False, note="all coordinates tied"
             )
         if eligible.size < n_coords:
             note = f"only {eligible.size} coordinates clear of ties"
-    return _grad_checks(base.size, extract, [(loss_id, distance, analytic)], seed, n_coords, h,
-                        eligible, note)[0]
+    extract, checks = _loss_closure(loss_id, inputs)
+    return _grad_checks(extract, checks, seed, n_coords, h, eligible, note)[0]
 
 
 def run_grad_checks(seed: int) -> list[GradCheckReport]:
@@ -758,5 +751,5 @@ def run_grad_checks(seed: int) -> list[GradCheckReport]:
     return [
         grad_check("l1", (a, b), seed),
         grad_check("adv_mse", (scores, 1.0), seed),
-        *_grad_checks(g.size, extract, checks, seed, n_coords=64, h=1e-5),
+        *_grad_checks(extract, checks, seed, n_coords=64, h=1e-5),
     ]

@@ -25,8 +25,8 @@ makes and reuses for all its slabs, scales and pairs; the only state kept
 between calls is the read-only band matrices and their transposes, built
 once per (window size, block) by ``_band`` and ``_band_t``.  Inputs are
 widened to float64 and scanned once, where they enter (``as_f64``,
-``TensorND``); ``windowed_moments`` checks nothing and trusts its one
-caller.
+``TensorND``); ``windowed_moments`` and ``conv`` check no values and trust
+their callers; a scanned array is handed on as ``_trusted(arr)``.
 
 Conventions:
   * image sequences carry axes (T, Z, Y, X), feature maps (C, Z, Y, X)
@@ -184,6 +184,13 @@ class TensorND:
             self.spacing_mm = check_spacing(self.spacing_mm, n_spatial, "spacing_mm")
 
 
+def _trusted(arr: np.ndarray) -> TensorND:
+    """A ``TensorND`` of ``arr``, already scanned, made without scanning it again."""
+    t = object.__new__(TensorND)  # axis_labels and spacing_mm keep their class defaults
+    t.data = arr
+    return t
+
+
 @dataclass
 class VolumeSequence:
     """Time series of 2D images or 3D volumes, axes (T, spatial...).
@@ -235,7 +242,7 @@ def window_sizes(shape) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def conv(x, kernel) -> np.ndarray:
+def conv(x, k) -> np.ndarray:
     """Zero-padded, size-preserving n-D cross-correlation over a channel-first array.
 
     Computed kn2row-style (Vasudevan, Anderson and Gregg 2017), with the k0
@@ -254,17 +261,17 @@ def conv(x, kernel) -> np.ndarray:
     multiple of ``_CONV_WIDTH_ALIGN`` columns, so each output is computed
     the same way whatever the input's extent around it: a patch's outputs
     at least a half-width from its cut edges equal the whole input's.
+    Only shapes are checked.  Unchecked, the caller's to guarantee: ``x``
+    and ``k`` are finite float64 ndarrays.
 
     Args:
         x: input of shape (C_in, spatial...), or (B, C_in, spatial...) for a
             batch, which is read as such when its rank equals the kernel's.
-        kernel: weights of shape (C_out, C_in, k_1, ..., k_n), each k_i odd.
+        k: weights of shape (C_out, C_in, k_1, ..., k_n), each k_i odd.
 
     Returns:
         Array of shape (C_out, spatial...), or (B, C_out, spatial...).
     """
-    x = as_f64(x, "conv input")
-    k = as_f64(kernel, "conv kernel")
     if x.ndim < 2:
         raise ValueError("conv input must have a channel axis plus spatial axes")
     n_sp = k.ndim - 2

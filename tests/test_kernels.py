@@ -24,7 +24,7 @@ from dcemetrics.kernels import (
     loss_style_frob,
     run_grad_checks,
 )
-from dcemetrics.tensor import TensorND
+from dcemetrics.tensor import TensorND, as_f64
 from oracles import brute_conv, scalar_convlstm_cell
 
 
@@ -32,22 +32,19 @@ class _LinearExtractor:
     """Identity feature map; lets quadratic-form properties hold exactly."""
 
     def features(self, image):
-        x = np.asarray(image, dtype=np.float64)
+        x = as_f64(image)
         return x if x.ndim >= 3 else x[np.newaxis]
 
-    def features_and_vjp(self, image):
-        x = np.asarray(image, dtype=np.float64)
-        plain = x.ndim != 3
+    def linearize(self, image):
+        f = self.features(image)
+        plain = as_f64(image).ndim != 3
 
         def vjp(cotangent):
             g = np.asarray(cotangent, dtype=np.float64)
             return g[0] if plain else g
 
-        return self.features(image), vjp
-
-    def probe_evaluator(self, image):
         # the identity map moves each probe's features where it moved the image
-        return partial(kernels._probe_stack, self.features(image))
+        return f, vjp, partial(kernels._probe_stack, f)
 
 
 class _StackingExtractor:
@@ -60,17 +57,17 @@ class _StackingExtractor:
     def __init__(self, inner):
         self.inner = inner
         self.features = inner.features
-        self.features_and_vjp = inner.features_and_vjp
 
-    def probe_evaluator(self, image):
-        base = np.asarray(image, dtype=np.float64)
+    def linearize(self, image):
+        f, vjp, _ = self.inner.linearize(image)
+        base = as_f64(image)
         plain = base.ndim == self.inner.kernels[0].ndim - 2
 
         def probe(moved, steps):
             stack = kernels._probe_stack(base, moved, steps)
             return self.inner.features(stack[:, np.newaxis] if plain else stack)
 
-        return probe
+        return f, vjp, probe
 
 
 def _extractor(seed, kernel_shapes):
@@ -138,6 +135,11 @@ class TestAdaIN:
             with pytest.raises(ValueError, match="eps must be finite and positive"):
                 adain(np.zeros((1, 4, 4)), np.ones((1, 4, 4)), eps=eps)
 
+    def test_rejects_bool_eps(self):
+        # unchecked, True was taken as eps = 1.0
+        with pytest.raises(ValueError, match="^eps must be finite and positive, got True$"):
+            adain(np.zeros((1, 4, 4)), np.ones((1, 4, 4)), eps=True)
+
 
 class TestConvLSTMCell:
     def test_all_zero_weights_give_zero_state(self):
@@ -199,6 +201,17 @@ class TestConvLSTMCell:
             (-0.6617812948949152, -0.13508815918982076),
             rtol=1e-12,
         )
+
+    def test_rejects_a_kernel_with_no_input_channels(self):
+        # once accepted with in_channels == -1; the cell then said "weights expect -1"
+        with pytest.raises(ValueError,
+                           match=r"^kernel must be .*, got \(8, 1, 3, 3\)$"):
+            ConvLSTMWeights(np.zeros((8, 1, 3, 3)), np.zeros(8))
+
+    def test_rejects_a_kernel_with_no_hidden_channels(self):
+        # once built a zero-hidden cell
+        with pytest.raises(ValueError, match=r"^kernel must be .*, got \(0, 2, 3, 3\)$"):
+            ConvLSTMWeights.from_seed(0, 2, 0)
 
     def test_shape_validation(self):
         w = ConvLSTMWeights.zeros(in_channels=2, hidden=2)
@@ -292,7 +305,7 @@ class TestFeatureExtractor:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(7, 7))
         cot = rng.normal(size=(16, 7, 7))
-        feats, vjp = ex.features_and_vjp(x)
+        feats, vjp, _ = ex.linearize(x)
         grad = vjp(cot)
         h = 1e-6
         for idx in [(0, 0), (3, 4), (6, 6), (2, 5)]:
@@ -329,8 +342,8 @@ class TestFeatureExtractor:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(6, 6))
         cot = rng.normal(size=(16, 6, 6))
-        feats, vjp = ex.features_and_vjp(wrap(x))
-        want_feats, want_vjp = ex.features_and_vjp(x)
+        feats, vjp, _ = ex.linearize(wrap(x))
+        want_feats, want_vjp, _ = ex.linearize(x)
         npt.assert_array_equal(feats, want_feats)
         grad = vjp(cot)
         assert grad.shape == (6, 6)
@@ -406,8 +419,8 @@ class TestFeatureExtractor:
         make, shape = _PROBE_CASES[case]
         ex = make()
         image = np.random.default_rng(9).normal(size=shape)
-        probe = ex.probe_evaluator(image)
-        reference = _StackingExtractor(ex).probe_evaluator(image)
+        probe = ex.linearize(image)[2]
+        reference = _StackingExtractor(ex).linearize(image)[2]
         moved = np.repeat(np.arange(image.size), 2)
         steps = np.tile([1e-5, -1e-5], image.size)
         for start in range(0, moved.size, kernels._PROBE_CHUNK):
@@ -419,8 +432,30 @@ class TestFeatureExtractor:
 
     def test_probe_evaluator_takes_one_image(self):
         ex = FixedFeatureExtractor.from_seed(0)
-        with pytest.raises(ValueError, match="^probe_evaluator takes one image"):
-            ex.probe_evaluator(np.zeros((2, 1, 5, 5)))
+        with pytest.raises(ValueError, match="^linearize takes one image"):
+            ex.linearize(np.zeros((2, 1, 5, 5)))
+
+    @pytest.mark.parametrize("case", _PROBE_CASES)
+    def test_linearize_runs_one_forward_pass(self, case, monkeypatch):
+        # its features are those of ``features``, and the pullback and the
+        # probe evaluator take no second pass: one conv per layer
+        make, shape = _PROBE_CASES[case]
+        ex = make()
+        image = np.random.default_rng(10).normal(size=shape)
+        want = ex.features(image)
+        calls = []
+        conv = kernels.conv
+        monkeypatch.setattr(kernels, "conv", lambda *a: calls.append(1) or conv(*a))
+        feats, _, _ = ex.linearize(image)
+        npt.assert_array_equal(feats, want)
+        assert len(calls) == len(ex.kernels)
+
+    def test_exposes_features_and_linearize_only(self):
+        ex = FixedFeatureExtractor.from_seed(0)
+        public = {n for n in dir(ex) if not n.startswith("_")}
+        # its layers, its seeded constructor and its input channels beside them
+        assert public == {"features", "linearize", "kernels", "biases", "from_seed",
+                          "in_channels"}
 
 
 class TestGram:
@@ -591,9 +626,9 @@ class TestGradCheck:
         # about 0.01; probes that moved more than their own coordinate would
         # report something else entirely
         class SkewedExtractor(FixedFeatureExtractor):
-            def features_and_vjp(self, image):
-                f, vjp = super().features_and_vjp(image)
-                return f, lambda cotangent: 1.01 * vjp(cotangent)
+            def linearize(self, image):
+                f, vjp, probe = super().linearize(image)
+                return f, lambda cotangent: 1.01 * vjp(cotangent), probe
 
         rng = np.random.default_rng(40)
         ex = SkewedExtractor.from_seed(2)
@@ -677,7 +712,7 @@ class TestGradCheck:
             "feature": (loss_feature, (second, ex)),
             "style_frob": (loss_style_frob, (second, ex)),
         }[loss_id]
-        extract, distance, _ = kernels._loss_closure(loss_id, (first, *rest))
+        extract, [(_, distance, _)] = kernels._loss_closure(loss_id, (first, *rest))
         moved, steps = np.array([0, 40, 80]), rng.normal(size=3)
         probes = kernels._probe_stack(first, moved, steps)
         assert distance(extract(moved, steps)).tolist() == [public(p, *rest) for p in probes]
@@ -743,12 +778,12 @@ class TestGradCheck:
         monkeypatch.setattr(FixedFeatureExtractor, "features", counting_features)
         monkeypatch.setattr(kernels, "conv", counting_conv)
         run_grad_checks(0)
-        # x and y as one batch, g forward for its pullback and again for its
+        # x and y as one batch, g forward once for both its pullback and its
         # probe evaluator and back once per loss, then 3 patch convs per
-        # stack of 32 probes: 1 and 27; full passes per stack made 6 and 27,
-        # separate checks 10 and 42
-        assert calls["features"] <= 6
-        assert calls["conv"] <= 27
+        # stack of 32 probes: 1 and 24; a second forward pass of g made 27,
+        # full passes per stack 6 and 27, separate checks 10 and 42
+        assert calls["features"] <= 1
+        assert calls["conv"] <= 24
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True])
     def test_rejects_bad_seed(self, seed):
@@ -766,3 +801,85 @@ class TestGradCheck:
         assert isinstance(d["max_rel_error"], float)
         assert d["loss_id"] == "l1"
         assert GradCheckReport(**d) == report
+
+
+def _finiteness_scans(monkeypatch, call) -> int:
+    """``np.isfinite`` calls on more than one element made by ``call()``."""
+    sizes = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a))
+                        or isfinite(a, *args, **kw))
+    call()
+    monkeypatch.setattr(np, "isfinite", isfinite)
+    return sum(n > 1 for n in sizes)
+
+
+def _kernels_calls():
+    """(name, call, expected) per public kernels call: the benchmark's shapes."""
+    rng = np.random.default_rng(45)
+    ex = FixedFeatureExtractor.from_seed(0)
+    a, b, g, x, y = rng.normal(size=(5, 14, 14))
+    frames = list(rng.normal(size=(5, 4, 64, 64)))
+    fw, bw = ConvLSTMWeights.from_seed(0, 4, 8), ConvLSTMWeights.from_seed(1, 4, 8)
+    state = ConvLSTMState.zeros(8, (64, 64))
+    return [
+        # 6 of them the extractor's layers; each of the six inputs once, and
+        # the analytic gradient and the probe values of each of four checks
+        ("run_grad_checks", lambda: run_grad_checks(0), 20),
+        # each frame once, then each cell's new state (h, c) as it is built,
+        # and the zero states of both directions
+        ("bidirectional_convlstm", lambda: bidirectional_convlstm(frames, fw, bw), 29),
+        ("convlstm_cell", lambda: convlstm_cell(frames[0], state, fw), 3),
+        ("features", lambda: ex.features(g), 1),
+        ("loss_feature", lambda: loss_feature(g, x, ex), 2),
+        ("loss_style_frob", lambda: loss_style_frob(g, y, ex), 2),
+        ("grad_check_l1", lambda: grad_check("l1", (a, b), 0), 4),
+        ("grad_check_feature", lambda: grad_check("feature", (g, x, ex), 0), 4),
+        ("grad_check_style_frob", lambda: grad_check("style_frob", (g, y, ex), 0), 4),
+    ]
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("index", range(9), ids=[c[0] for c in _kernels_calls()])
+    def test_finiteness_scans_per_call(self, index, monkeypatch):
+        # each array once, where it enters; conv and the extractor's passes
+        # inside a loss or a check scan nothing (146 per benchmark op before:
+        # 87 for run_grad_checks and 59 for the ConvLSTM)
+        _, call, expected = _kernels_calls()[index]
+        assert _finiteness_scans(monkeypatch, call) == expected
+
+    @pytest.mark.parametrize("name", ["g", "x", "y", "a", "b", "scores", "image", "frame 2"])
+    def test_nan_names_its_input(self, name):
+        rng = np.random.default_rng(46)
+        ex = FixedFeatureExtractor.from_seed(0)
+        arrays = dict(zip("gxyab", rng.normal(size=(5, 9, 9))))
+        scores = rng.normal(size=16)
+        frames = list(rng.normal(size=(5, 2, 6, 6)))
+        w = ConvLSTMWeights.from_seed(0, 2, 3)
+        bad = np.full((9, 9), 1.0)
+        bad[4, 5] = np.nan
+        bad_frame = frames[2].copy()
+        bad_frame[1, 2, 3] = np.inf
+        calls = {
+            "g": [lambda: grad_check("feature", (bad, arrays["x"], ex), 0),
+                  lambda: grad_check("style_frob", (bad, arrays["y"], ex), 0),
+                  lambda: loss_feature(bad, arrays["x"], ex),
+                  lambda: loss_style_frob(bad, arrays["y"], ex)],
+            "x": [lambda: grad_check("feature", (arrays["g"], bad, ex), 0),
+                  lambda: loss_feature(arrays["g"], bad, ex),
+                  lambda: convlstm_cell(bad_frame, ConvLSTMState.zeros(3, (6, 6)), w)],
+            "y": [lambda: grad_check("style_frob", (arrays["g"], bad, ex), 0),
+                  lambda: loss_style_frob(arrays["g"], bad, ex)],
+            "a": [lambda: grad_check("l1", (bad, arrays["b"]), 0),
+                  lambda: loss_l1(bad, arrays["b"]), lambda: grad_loss_l1(bad, arrays["b"])],
+            "b": [lambda: grad_check("l1", (arrays["a"], bad), 0),
+                  lambda: loss_l1(arrays["a"], bad), lambda: grad_loss_l1(arrays["a"], bad)],
+            "scores": [lambda: grad_check("adv_mse", (np.append(scores, np.nan), 1.0), 0),
+                       lambda: loss_adv_mse(np.append(scores, np.nan), 1.0)],
+            "image": [lambda: ex.features(bad), lambda: ex.linearize(bad)],
+            "frame 2": [lambda: bidirectional_convlstm(frames[:2] + [bad_frame] + frames[3:],
+                                                       w, w)],
+        }[name]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{name} contains a non-finite value"):
+                call()
